@@ -20,7 +20,7 @@ from .metrics import score_task, statistical_baseline
 from .pipeline import (ExperimentConfig, ask, evaluate_stage, fit_codec_stage,
                        generate_data, load_splits, pretrain_encoder_stage,
                        train_stage, warmup_lm_stage)
-from .qa import build_pair, derived_seed, eligible
+from .qa import build_corpus, derived_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -166,11 +166,12 @@ def cmd_baseline(args) -> int:
         if not tasks:
             raise ConfigError(f"no tasks match {sorted(wanted)}")
     seed = derived_seed(config.seed, "corpus")
+    pairs = build_corpus(val, tasks, codec, seed, config.prefix,
+                         config.min_seq_len, config.max_seq_len)
     rows = []
     for task in tasks:
         predictors = statistical_baseline(task, train, codec, seed=seed)
-        truths = [build_pair(task, s, codec, seed, prefix=config.prefix).truth
-                  for s in val.sequences if eligible(task, s)]
+        truths = [p.truth for p in pairs if p.task_id == task.task_id]
         if not truths:
             continue
         for kind, predictor in predictors.items():

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -585,15 +585,3 @@ def generate_synthetic(config: GeneratorConfig,
         sequences.append(seq)
 
     return Dataset(schema, sequences, split="train"), provenance
-
-
-def load_generator_config(path: str | Path) -> GeneratorConfig:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read generator config {path}: {e}") from None
-    return GeneratorConfig.from_json(payload)
-
-
-def iter_features(schema: Schema) -> Iterable[FeatureSpec]:
-    return iter(schema.features)

@@ -148,6 +148,17 @@ class LoraConfig:
         return cls(**d)
 
 
+def pad_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad token rows with PAD: (ids, valid), both (len(rows), longest)."""
+    width = max(len(r) for r in rows)
+    ids = np.full((len(rows), width), PAD, dtype=np.int64)
+    valid = np.zeros((len(rows), width))
+    for i, r in enumerate(rows):
+        ids[i, :len(r)] = r
+        valid[i, :len(r)] = 1.0
+    return ids, valid
+
+
 @dataclass
 class MultimodalInput:
     """Assembled encoder input: text, delimiters, and injected event rows."""
@@ -219,36 +230,21 @@ class ToyLm(nn.Module):
     # ------------------------------------------------------------------
     # input assembly
 
-    def inject(self, prefix: str, body: str,
-               event_queries: Tensor | None) -> MultimodalInput:
-        """Single-example stream [prefix][<seq>][q rows][</seq>][body]."""
-        prefix_ids = np.array([self.tokenizer.tokenize(prefix)], dtype=np.int64)
-        body_tok = self.tokenizer.tokenize(body)
-        body_ids = np.array([body_tok], dtype=np.int64)
-        injected = None
-        if event_queries is not None and event_queries.shape[0] > 0:
-            if event_queries.ndim != 2 or event_queries.shape[1] != self.config.d_model:
-                raise ConfigError(
-                    f"injected rows must be (q, {self.config.d_model}), "
-                    f"got {event_queries.shape}")
-            injected = ad.reshape(event_queries, (1,) + event_queries.shape)
-        mm = MultimodalInput(prefix_ids, body_ids,
-                             np.ones_like(body_ids, dtype=np.float64), injected)
+    def batch_inputs(self, prefix_ids: np.ndarray, body_ids: np.ndarray,
+                     body_valid: np.ndarray,
+                     injected: Tensor | None) -> MultimodalInput:
+        """Stream [prefix][<seq>][q rows][</seq>][body] for every row."""
+        if injected is not None and (
+                injected.ndim != 3 or injected.shape[2] != self.config.d_model):
+            raise ConfigError(
+                f"injected rows must be (batch, q, {self.config.d_model}), "
+                f"got {injected.shape}")
+        mm = MultimodalInput(prefix_ids, body_ids, body_valid, injected)
         if mm.length > self.config.max_input_len:
             raise ConfigError(
                 f"input stream of {mm.length} tokens (prefix "
                 f"{prefix_ids.shape[1]} + 2 delimiters + {mm.n_injected} "
                 f"injected + body {body_ids.shape[1]}) exceeds max input "
-                f"length {self.config.max_input_len}")
-        return mm
-
-    def batch_inputs(self, prefix_ids: np.ndarray, body_ids: np.ndarray,
-                     body_valid: np.ndarray,
-                     injected: Tensor | None) -> MultimodalInput:
-        mm = MultimodalInput(prefix_ids, body_ids, body_valid, injected)
-        if mm.length > self.config.max_input_len:
-            raise ConfigError(
-                f"input stream of {mm.length} tokens exceeds max input "
                 f"length {self.config.max_input_len}")
         return mm
 
@@ -347,23 +343,6 @@ class ToyLm(nn.Module):
                     ids.append(int(i))
             texts.append(self.tokenizer.detokenize(ids) if ids else "")
         return texts, distributions
-
-    def binary_score(self, mm: MultimodalInput) -> float:
-        """p(Yes) - p(No) at the first decoding position, in [-1, 1]."""
-        if self.tokenizer.yes_id is None or self.tokenizer.no_id is None:
-            raise ConfigError("tokenizer lacks single Yes/No tokens")
-        scores = self.binary_scores(mm)
-        return float(scores[0])
-
-    def binary_scores(self, mm: MultimodalInput) -> np.ndarray:
-        with ad.no_grad():
-            enc_out, enc_valid = self.encode(mm)
-            dec_in = np.full((mm.batch, 1), BOS, dtype=np.int64)
-            logits = self.decode(dec_in, enc_out, enc_valid).data[:, 0, :]
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        return probs[:, self.tokenizer.yes_id] - probs[:, self.tokenizer.no_id]
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,6 @@ class Module:
         for p in self.parameters().values():
             p.requires_grad = False
 
-    def num_parameters(self, trainable_only: bool = False) -> int:
-        params = self.trainable_parameters() if trainable_only else self.parameters()
-        return sum(p.size for p in params.values())
-
     def weights_hash(self, trainable_only: bool = False) -> str:
         """SHA-256 over parameter names and raw float64 bytes, in tree order."""
         params = self.trainable_parameters() if trainable_only else self.parameters()

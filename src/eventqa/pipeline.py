@@ -22,7 +22,8 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +38,14 @@ from .data import (Dataset, EventSequence, GeneratorConfig, Schema,
                    generate_synthetic, load_jsonl, save_jsonl, split_by_client)
 from .encoder import EncoderConfig, EventEncoder, NextEventHeads, next_event_loss
 from .errors import ConfigError, DataError, DivergenceError
-from .lm import (EOS, PAD, LoraConfig, Tokenizer, ToyLm, ToyLmConfig,
-                 apply_lora, set_lora_training)
+from .lm import (EOS, LoraConfig, Tokenizer, ToyLm, ToyLmConfig, apply_lora,
+                 pad_rows, set_lora_training)
 from .metrics import EvalReport, TaskResult, score_task, statistical_baseline
 from .optim import AdamW, LrSchedule
 from .qa import (DEFAULT_PREFIX, QAPair, QATask, T_BINARY, Unparseable,
-                 build_pair, build_tasks, corpus_word_inventory, derived_seed,
-                 eligible, parse_answer)
+                 admit_sequence, build_corpus, build_tasks,
+                 corpus_word_inventory, derived_seed, format_body,
+                 parse_answer)
 
 
 @dataclass
@@ -143,36 +145,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "ExperimentConfig":
+        """Fields absent from ``d`` keep their defaults; unknown keys are
+        ignored."""
+        kwargs = {}
         try:
-            return cls(
-                generator=GeneratorConfig.from_json(d["generator"]),
-                tasks=d["tasks"],
-                held_out_tasks=d.get("held_out_tasks", []),
-                seed=d.get("seed", 0),
-                val_fraction=d.get("val_fraction", 0.1),
-                min_seq_len=d.get("min_seq_len", 2),
-                max_seq_len=d.get("max_seq_len", 32),
-                integer_vocab_cap=d.get("integer_vocab_cap", 1000),
-                prefix=d.get("prefix", DEFAULT_PREFIX),
-                encoder=EncoderConfig.from_json(d["encoder"]) if "encoder" in d
-                else EncoderConfig(),
-                connector=ConnectorConfig.from_json(d["connector"])
-                if "connector" in d else ConnectorConfig(),
-                lm=ToyLmConfig.from_json(d["lm"]) if "lm" in d else ToyLmConfig(),
-                lora=LoraConfig.from_json(d["lora"]) if "lora" in d
-                else LoraConfig(rank=4, dropout=0.0),
-                optimizer=d.get("optimizer", {
-                    "beta1": 0.9, "beta2": 0.98, "eps": 1e-8,
-                    "weight_decay": 0.01, "clip_norm": 1.0}),
-                pretrain=StageSchedule.from_json(d["pretrain"])
-                if "pretrain" in d else StageSchedule(),
-                warmup=StageSchedule.from_json(d["warmup"]) if "warmup" in d
-                else StageSchedule(epochs=30, batch_size=32, peak_lr=3e-3,
-                                   warmup_steps=20),
-                train=StageSchedule.from_json(d["train"]) if "train" in d
-                else StageSchedule(),
-                eval_batch_size=d.get("eval_batch_size", 64),
-            )
+            for f in fields(cls):
+                if f.name in d:
+                    read = _SECTIONS.get(f.name)
+                    kwargs[f.name] = read(d[f.name]) if read else d[f.name]
+                elif f.default is MISSING and f.default_factory is MISSING:
+                    raise KeyError(f.name)
+            return cls(**kwargs)
         except KeyError as e:
             raise ConfigError(f"experiment config missing field {e.args[0]!r}") \
                 from None
@@ -192,12 +175,13 @@ class ExperimentConfig:
                 if t["id"] not in self.held_out_tasks]
 
 
-def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read experiment config {path}: {e}") from None
-    return ExperimentConfig.from_json(payload)
+# nested sections of ExperimentConfig and the reader of each
+_SECTIONS = {
+    "generator": GeneratorConfig.from_json, "encoder": EncoderConfig.from_json,
+    "connector": ConnectorConfig.from_json, "lm": ToyLmConfig.from_json,
+    "lora": LoraConfig.from_json, "pretrain": StageSchedule.from_json,
+    "warmup": StageSchedule.from_json, "train": StageSchedule.from_json,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +225,6 @@ def load_params(module: nn.Module, tensors: dict[str, np.ndarray],
 # batching helpers
 
 
-def admit_sequence(seq: EventSequence, task: QATask, min_len: int,
-                   max_len: int) -> EventSequence | None:
-    """Apply the visibility rule then the length policy (keep most recent)."""
-    if not eligible(task, seq):
-        return None
-    visible = task.visible_sequence(seq)
-    if len(visible) < min_len:
-        return None
-    return visible.tail(max_len)
-
-
 @dataclass
 class QABatch:
     pairs: list[QAPair]
@@ -285,22 +258,9 @@ def make_qa_batch(pairs: list[QAPair], sequences: dict[str, EventSequence],
     prefix_ids = np.tile(np.asarray(prefix_tok, dtype=np.int64),
                          (len(pairs), 1))
 
-    bodies = [tokenizer.tokenize(p.body) for p in pairs]
-    t_body = max(len(b) for b in bodies)
-    body_ids = np.full((len(pairs), t_body), PAD, dtype=np.int64)
-    body_valid = np.zeros((len(pairs), t_body))
-    for i, b in enumerate(bodies):
-        body_ids[i, :len(b)] = b
-        body_valid[i, :len(b)] = 1.0
-
-    answers = [tokenizer.tokenize(p.answer) + [EOS] for p in pairs]
-    t_ans = max(len(a) for a in answers)
-    answer_ids = np.full((len(pairs), t_ans), PAD, dtype=np.int64)
-    answer_valid = np.zeros((len(pairs), t_ans))
-    for i, a in enumerate(answers):
-        answer_ids[i, :len(a)] = a
-        answer_valid[i, :len(a)] = 1.0
-
+    body_ids, body_valid = pad_rows([tokenizer.tokenize(p.body) for p in pairs])
+    answer_ids, answer_valid = pad_rows(
+        [tokenizer.tokenize(p.answer) + [EOS] for p in pairs])
     return QABatch(pairs, event_batch, event_mask, prefix_ids, body_ids,
                    body_valid, answer_ids, answer_valid)
 
@@ -321,10 +281,17 @@ def _chunks(items: list, size: int):
 # generic training loop
 
 
+def adamw_from_config(params: dict[str, Tensor], optimizer_cfg: dict) -> AdamW:
+    """AdamW with the config's hyperparameters; absent keys keep AdamW's
+    defaults and keys AdamW does not take (``clip_norm``) are ignored."""
+    return AdamW(params, **{k: v for k, v in optimizer_cfg.items()
+                            if k in ("beta1", "beta2", "eps", "weight_decay")})
+
+
 def run_training(loss_fn, params: dict[str, Tensor], stage: StageSchedule,
                  n_batches_per_epoch: int, batch_provider, optimizer_cfg: dict,
-                 start_step: int = 0, optimizer: AdamW | None = None,
-                 log_every: int = 10) -> tuple[AdamW, list[tuple[int, float, float]]]:
+                 start_step: int = 0, optimizer: AdamW | None = None
+                 ) -> tuple[AdamW, list[tuple[int, float, float]]]:
     """Drive AdamW over the stage's epochs; returns (optimizer, loss curve).
 
     ``batch_provider(epoch, index)`` yields whatever ``loss_fn`` consumes.
@@ -333,11 +300,7 @@ def run_training(loss_fn, params: dict[str, Tensor], stage: StageSchedule,
     total_steps = stage.epochs * n_batches_per_epoch
     schedule = stage.schedule(total_steps)
     if optimizer is None:
-        optimizer = AdamW(
-            params, beta1=optimizer_cfg.get("beta1", 0.9),
-            beta2=optimizer_cfg.get("beta2", 0.98),
-            eps=optimizer_cfg.get("eps", 1e-8),
-            weight_decay=optimizer_cfg.get("weight_decay", 0.01))
+        optimizer = adamw_from_config(params, optimizer_cfg)
     clip = optimizer_cfg.get("clip_norm", 0.0)
     curve: list[tuple[int, float, float]] = []
     step = start_step
@@ -438,8 +401,7 @@ def pretrain_encoder_stage(config: ExperimentConfig, train: Dataset,
     params.update(heads.parameters("heads."))
 
     start_step = 0
-    optimizer = AdamW(params, **{k: v for k, v in config.optimizer.items()
-                                 if k in ("beta1", "beta2", "eps", "weight_decay")})
+    optimizer = adamw_from_config(params, config.optimizer)
     prior_curve: list[tuple[int, float, float]] = []
     ckpt_base = out / "encoder"
     if resume:
@@ -545,23 +507,13 @@ def warmup_lm_stage(config: ExperimentConfig, codec: DatasetCodec,
         chosen = epoch_orders[epoch][index * stage.batch_size:
                                      (index + 1) * stage.batch_size]
         chosen = [items[i] for i in chosen]
-        bodies = [tokenizer.tokenize(body) for body, _ in chosen]
-        answers = [tokenizer.tokenize(ans) + [EOS] for _, ans in chosen]
         prefix_tok = tokenizer.tokenize(config.prefix)
-        b = len(chosen)
-        prefix_ids = np.tile(np.asarray(prefix_tok, dtype=np.int64), (b, 1))
-        t_body = max(len(x) for x in bodies)
-        body_ids = np.full((b, t_body), PAD, dtype=np.int64)
-        body_valid = np.zeros((b, t_body))
-        for i, x in enumerate(bodies):
-            body_ids[i, :len(x)] = x
-            body_valid[i, :len(x)] = 1.0
-        t_ans = max(len(x) for x in answers)
-        answer_ids = np.full((b, t_ans), PAD, dtype=np.int64)
-        answer_valid = np.zeros((b, t_ans))
-        for i, x in enumerate(answers):
-            answer_ids[i, :len(x)] = x
-            answer_valid[i, :len(x)] = 1.0
+        prefix_ids = np.tile(np.asarray(prefix_tok, dtype=np.int64),
+                             (len(chosen), 1))
+        body_ids, body_valid = pad_rows(
+            [tokenizer.tokenize(body) for body, _ in chosen])
+        answer_ids, answer_valid = pad_rows(
+            [tokenizer.tokenize(ans) + [EOS] for _, ans in chosen])
         return prefix_ids, body_ids, body_valid, answer_ids, answer_valid
 
     params = lm.parameters("lm.")
@@ -630,15 +582,9 @@ def train_stage(config: ExperimentConfig, train: Dataset, val: Dataset,
         raise ConfigError("no tasks remain after removing the held-out set")
 
     sequences = {s.client_id: s for s in train.sequences}
-    corpus_seed = derived_seed(config.seed, "corpus")
-    pairs: list[QAPair] = []
-    for seq in train.sequences:
-        for task in trained_tasks:
-            if admit_sequence(seq, task, config.min_seq_len,
-                              config.max_seq_len) is None:
-                continue
-            pairs.append(build_pair(task, seq, codec, corpus_seed,
-                                    prefix=config.prefix))
+    pairs = build_corpus(train, trained_tasks, codec,
+                         derived_seed(config.seed, "corpus"), config.prefix,
+                         config.min_seq_len, config.max_seq_len)
     if not pairs:
         raise DataError("no usable training pairs under the length policy")
 
@@ -737,29 +683,35 @@ def run_inference(model: PipelineModel, dataset: Dataset, tasks: list[QATask],
                   seed: int | None = None
                   ) -> tuple[list[QAPair], list[EventSequence], list[str],
                              list[float]]:
-    """Generate answers for every (sequence, task) pair in the dataset.
+    """Generate answers for every admitted (sequence, task) pair.
 
-    Returns (pairs, visible sequences, generated texts, binary scores);
-    scores are p(Yes)-p(No) at the first decoding position (0.0 when the
-    pair's task is not binary).
+    Returns (pairs, sequences, generated texts, Yes/No scores) as
+    ``answer_pairs`` computes them.
+    """
+    pairs = build_corpus(
+        dataset, tasks, codec,
+        derived_seed(seed if seed is not None else config.seed, "corpus"),
+        config.prefix, config.min_seq_len, config.max_seq_len)
+    sequences = {s.client_id: s for s in dataset.sequences}
+    texts, scores = answer_pairs(model, pairs, sequences,
+                                 {t.task_id: t for t in tasks}, codec, config)
+    return pairs, [sequences[p.client_id] for p in pairs], texts, scores
+
+
+def answer_pairs(model: PipelineModel, pairs: list[QAPair],
+                 sequences: dict[str, EventSequence],
+                 tasks: dict[str, QATask], codec: DatasetCodec,
+                 config: ExperimentConfig) -> tuple[list[str], list[float]]:
+    """Greedy answers to pairs in batches of ``config.eval_batch_size``.
+
+    Returns the generated texts and, per pair, p(Yes) - p(No) at the first
+    decoding position (computed for every pair; only binary tasks use it).
     """
     tokenizer = model.lm.tokenizer
-    task_map = {t.task_id: t for t in tasks}
-    corpus_seed = derived_seed(seed if seed is not None else config.seed,
-                               "corpus")
-    pairs = []
-    for seq in dataset.sequences:
-        for task in tasks:
-            if admit_sequence(seq, task, config.min_seq_len,
-                              config.max_seq_len) is None:
-                continue
-            pairs.append(build_pair(task, seq, codec, corpus_seed,
-                                    prefix=config.prefix))
-    sequences = {s.client_id: s for s in dataset.sequences}
     texts: list[str] = []
     scores: list[float] = []
     for chunk in _chunks(pairs, config.eval_batch_size):
-        batch = make_qa_batch(chunk, sequences, task_map, codec, tokenizer,
+        batch = make_qa_batch(chunk, sequences, tasks, codec, tokenizer,
                               config)
         with ad.no_grad():
             queries = model.event_queries(batch.event_batch, batch.event_mask)
@@ -770,7 +722,7 @@ def run_inference(model: PipelineModel, dataset: Dataset, tasks: list[QATask],
         chunk_scores = first[:, tokenizer.yes_id] - first[:, tokenizer.no_id]
         texts.extend(chunk_texts)
         scores.extend(float(s) for s in chunk_scores)
-    return pairs, [sequences[p.client_id] for p in pairs], texts, scores
+    return texts, scores
 
 
 def load_pipeline(out_dir: str | Path) -> tuple[PipelineModel, ExperimentConfig,
@@ -860,24 +812,24 @@ def evaluate_stage(out_dir: str | Path, dataset: Dataset,
 # single-question inference
 
 
-def _template_regex(task: QATask) -> "re.Pattern":
-    import re as _re
-    fields = {
-        "feature": _re.escape(task.feature) if task.feature else "",
-        "target": _re.escape(task.target) if task.target else "",
+def _template_regex(task: QATask) -> re.Pattern:
+    slots = {
+        "feature": re.escape(task.feature) if task.feature else "",
+        "target": re.escape(task.target) if task.target else "",
         "value": "(?P<value>.+?)",
         "options": "(?P<options>.+?)",
     }
-    escaped = _re.escape(task.template)
-    for name, repl in fields.items():
-        escaped = escaped.replace(_re.escape("{%s}" % name), repl)
-    suffix = f"(?:\\s+{_re.escape(task.instruction)})?" if task.instruction else ""
-    return _re.compile(f"^{escaped}{suffix}$")
+    escaped = re.escape(task.template)
+    for name, repl in slots.items():
+        escaped = escaped.replace(re.escape("{%s}" % name), repl)
+    suffix = f"(?:\\s+{re.escape(task.instruction)})?" if task.instruction else ""
+    return re.compile(f"^{escaped}{suffix}$")
 
 
 def match_question(question: str, tasks: list[QATask]) -> tuple[QATask, dict]:
-    """Find the template family a free-text question instantiates."""
-    question = question.strip()
+    """Find the template family a free-text question instantiates; runs of
+    whitespace count as one space."""
+    question = " ".join(question.split())
     for task in tasks:
         m = _template_regex(task).match(question)
         if m:
@@ -892,35 +844,30 @@ def match_question(question: str, tasks: list[QATask]) -> tuple[QATask, dict]:
 
 def ask(out_dir: str | Path, sequence_path: str | Path,
         question: str) -> dict:
-    """One-shot inference: answer a templated question about one sequence."""
-    model, config, codec, sidecar = load_pipeline(out_dir)
-    tasks = config.built_tasks()
-    task, raw_slots = match_question(question, tasks)
+    """One-shot inference: answer a templated question about one sequence.
+
+    The question may leave out the task instruction. The canonical body is
+    rendered again from the matched template and answered by
+    ``answer_pairs`` as a batch of one, exactly as evaluation answers it.
+    """
+    model, config, codec, _ = load_pipeline(out_dir)
+    task, slots = match_question(question, config.built_tasks())
 
     dataset = load_jsonl(sequence_path, codec.schema)
     if not dataset.sequences:
         raise DataError(f"no sequences in {sequence_path}")
     seq = dataset.sequences[0]
-    visible = admit_sequence(seq, task, config.min_seq_len, config.max_seq_len)
-    if visible is None:
+    if admit_sequence(seq, task, config.min_seq_len,
+                      config.max_seq_len) is None:
         raise DataError(
             f"sequence of {len(seq)} events violates the length policy "
             f"[{config.min_seq_len}, {config.max_seq_len}] for this task")
 
-    slots = dict(raw_slots)
-    if "value" in slots and task.feature is not None:
-        vocab = _task_vocab(task, codec) or []
-        for v in vocab:
-            if str(v) == slots["value"]:
-                slots["value"] = v
-                break
-
-    with ad.no_grad():
-        event_batch, event_mask = codec.encode_batch([visible])
-        queries = model.event_queries(event_batch, event_mask)
-        single = ad.reshape(queries, queries.shape[1:])
-        mm = model.lm.inject(config.prefix, question, single)
-        texts, steps = model.lm.generate(mm)
+    pair = QAPair(task_id=task.task_id, client_id=seq.client_id,
+                  prefix=config.prefix, body=format_body(task, **slots),
+                  truth=None, answer="")
+    texts, scores = answer_pairs(model, [pair], {seq.client_id: seq},
+                                 {task.task_id: task}, codec, config)
     text = texts[0]
     parsed = parse_answer(text, task, vocabulary=_task_vocab(task, codec))
     result = {
@@ -931,7 +878,6 @@ def ask(out_dir: str | Path, sequence_path: str | Path,
         "unparseable_reason": parsed.reason if isinstance(parsed, Unparseable)
         else None,
     }
-    if task.truth_type == T_BINARY and steps:
-        tok = model.lm.tokenizer
-        result["score"] = float(steps[0][0, tok.yes_id] - steps[0][0, tok.no_id])
+    if task.truth_type == T_BINARY:
+        result["score"] = scores[0]
     return result

@@ -345,7 +345,7 @@ def render_question(task: QATask, seq: EventSequence, seed: int,
     """
     rng = np.random.default_rng(derived_seed(seed, task.task_id, seq.client_id))
     slots: dict = {}
-    fields: dict = {"feature": task.feature or "", "target": task.target or ""}
+    fields: dict[str, str] = {}
 
     if task.answer_mode == BINARY and "{value}" in task.template:
         vocab = _feature_vocab(codec, task.feature)
@@ -376,10 +376,14 @@ def render_question(task: QATask, seq: EventSequence, seed: int,
         slots["options"] = options
         fields["options"] = "; ".join(str(o) for o in options)
 
-    body = task.template.format(**fields)
-    if task.instruction:
-        body = f"{body} {task.instruction}"
-    return prefix, body, slots
+    return prefix, format_body(task, **fields), slots
+
+
+def format_body(task: QATask, **slots: str) -> str:
+    """The template filled with its slot texts, then the task instruction."""
+    body = task.template.format(feature=task.feature or "",
+                                target=task.target or "", **slots)
+    return f"{body} {task.instruction}" if task.instruction else body
 
 
 # ---------------------------------------------------------------------------
@@ -465,21 +469,36 @@ def eligible(task: QATask, seq: EventSequence) -> bool:
     return len(seq) >= 2 if task.holdout_last else len(seq) >= 1
 
 
+def admit_sequence(seq: EventSequence, task: QATask, min_len: int,
+                   max_len: int) -> EventSequence | None:
+    """Apply the visibility rule then the length policy (keep most recent)."""
+    if not eligible(task, seq):
+        return None
+    visible = task.visible_sequence(seq)
+    if len(visible) < min_len:
+        return None
+    return visible.tail(max_len)
+
+
 def build_corpus(dataset: Dataset, tasks: list[QATask], codec: DatasetCodec,
-                 seed: int, prefix: str = DEFAULT_PREFIX
-                 ) -> tuple[list[QAPair], dict[str, int]]:
-    """All (sequence, task) pairs, tasks interleaved uniformly per sequence."""
+                 seed: int, prefix: str, min_len: int,
+                 max_len: int) -> list[QAPair]:
+    """Every (sequence, task) pair the length policy admits, tasks
+    interleaved per sequence.
+
+    Each question and truth covers the events the model sees, the most
+    recent ``max_len``, plus the held-out event of a predictive task.
+    """
     if not tasks:
-        raise ConfigError("build_corpus needs at least one task")
+        raise ConfigError("no tasks to build question pairs for")
     pairs: list[QAPair] = []
-    counts: dict[str, int] = {t.task_id: 0 for t in tasks}
     for seq in dataset.sequences:
         for task in tasks:
-            if not eligible(task, seq):
+            if admit_sequence(seq, task, min_len, max_len) is None:
                 continue
-            pairs.append(build_pair(task, seq, codec, seed, prefix=prefix))
-            counts[task.task_id] += 1
-    return pairs, counts
+            window = seq.tail(max_len + int(task.holdout_last))
+            pairs.append(build_pair(task, window, codec, seed, prefix=prefix))
+    return pairs
 
 
 def corpus_to_jsonl(pairs: list[QAPair]) -> str:

@@ -24,7 +24,7 @@ from eventqa.data import Dataset, EventSequence, FeatureSpec, GeneratorConfig, S
 from eventqa.encoder import (EncoderConfig, EventEncoder, NextEventHeads,
                              next_event_loss)
 from eventqa.errors import ConfigError
-from eventqa.lm import EOS, LoraConfig, ToyLmConfig, apply_lora
+from eventqa.lm import EOS, LoraConfig, ToyLmConfig, apply_lora, pad_rows
 from eventqa.metrics import accuracy, f1_binary, mae, mse, roc_auc
 from eventqa.pipeline import (ExperimentConfig, StageSchedule, evaluate_stage,
                               fit_codec_stage, load_pipeline, load_splits,
@@ -148,6 +148,13 @@ def metric_of(report, task_id, name):
         if tr.task_id == task_id:
             return tr.metrics.get(name), tr.baselines.get(name), tr
     raise KeyError(task_id)
+
+
+def text_only_input(lm, prefix, body):
+    """A batch of one without event rows, through pad_rows and batch_inputs."""
+    prefix_ids, _ = pad_rows([lm.tokenizer.tokenize(prefix)])
+    body_ids, body_valid = pad_rows([lm.tokenizer.tokenize(body)])
+    return lm.batch_inputs(prefix_ids, body_ids, body_valid, None)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +283,7 @@ def test_criterion_4_gradient_suite():
                np.random.default_rng(7))
     apply_lora(lm, LoraConfig(rank=2, alpha=4.0, dropout=0.0),
                np.random.default_rng(8))
-    mm = lm.inject("Given the history", "Answer yes.", None)
+    mm = text_only_input(lm, "Given the history", "Answer yes.")
     answer = np.array([[tok.yes_id, EOS]])
     rep_c = grad_check(lambda: lm.answer_loss(mm, answer, np.ones((1, 2))),
                        lm.trainable_parameters(), tolerance=1e-4,
@@ -328,7 +335,7 @@ def test_criterion_5_architecture_contracts(tmp_path):
                                 heads=4, d_ff=24, max_input_len=32,
                                 max_output_len=8),
                np.random.default_rng(11))
-    mm = lm.inject("Given the history", "Answer yes.", None)
+    mm = text_only_input(lm, "Given the history", "Answer yes.")
     with ad.no_grad():
         enc_out, valid = lm.encode(mm)
         before = lm.decode(np.array([[BOS]]), enc_out, valid).data.copy()
@@ -472,7 +479,7 @@ def test_injected_events_drive_event_dependent_answers(extractive_run):
 
     # event-independent calibration question is unaffected
     with ad.no_grad():
-        mm = model.lm.inject(config.prefix, "Answer yes.", None)
+        mm = text_only_input(model.lm, config.prefix, "Answer yes.")
         calib, _ = model.lm.generate(mm)
     assert calib[0] == "Yes"
 

@@ -97,6 +97,14 @@ def test_baseline_command(config_path, capsys):
     assert "last_category" in out and "mode" in out
 
 
+def test_baseline_follows_the_length_policy(config_path, capsys):
+    # every generated client has at most 8 events, so none is admitted
+    rc = cli_main(["baseline", "--config", str(config_path),
+                   "--set", "min_seq_len=9", "--set", "max_seq_len=9"])
+    assert rc == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_set_overrides(config_path, tmp_path):
     out = tmp_path / "data"
     rc = cli_main(["generate-data", "--config", str(config_path),

@@ -11,7 +11,7 @@ from eventqa.autodiff import Tensor, backward, grad_check
 from eventqa.errors import ConfigError, DataError
 from eventqa.lm import (BOS, EOS, PAD, SEQ_PREFIX, SEQ_SUFFIX, LoraConfig,
                         MultimodalInput, Tokenizer, ToyLm, ToyLmConfig,
-                        apply_lora)
+                        apply_lora, pad_rows)
 from eventqa.optim import AdamW
 
 WORDS = ["What", "is", "the", "category", "of", "last", "event", "Answer",
@@ -30,6 +30,21 @@ def tiny_lm(seed=0, **kw):
     base.update(kw)
     return ToyLm(make_tokenizer(), ToyLmConfig(**base),
                  np.random.default_rng(seed))
+
+
+def one_row(lm, prefix, body, queries=None):
+    """A batch of one through ``pad_rows`` and ``batch_inputs``."""
+    prefix_ids, _ = pad_rows([lm.tokenizer.tokenize(prefix)])
+    body_ids, body_valid = pad_rows([lm.tokenizer.tokenize(body)])
+    return lm.batch_inputs(prefix_ids, body_ids, body_valid, queries)
+
+
+def yes_minus_no(lm, mm):
+    """p(Yes) - p(No) of the first row from generate's step-0 distribution,
+    the quantity the pipeline reports as the Yes/No score."""
+    _, steps = lm.generate(mm)
+    return float(steps[0][0, lm.tokenizer.yes_id]
+                 - steps[0][0, lm.tokenizer.no_id])
 
 
 class TestTokenizer:
@@ -92,10 +107,10 @@ class TestInjection:
     def test_layout_arithmetic(self):
         # spec of the stream: prefix + <seq> + q rows + </seq> + body
         lm = tiny_lm()
-        queries = Tensor(np.zeros((8, 16)))
+        queries = Tensor(np.zeros((1, 8, 16)))
         prefix = "Given the history"          # 4 words + 2 spaces? tokens: 5
         body = "What is the last event?"
-        mm = lm.inject(prefix, body, queries)
+        mm = one_row(lm, prefix, body, queries)
         p = len(lm.tokenizer.tokenize(prefix))
         b = len(lm.tokenizer.tokenize(body))
         assert mm.length == p + 1 + 8 + 1 + b
@@ -103,7 +118,7 @@ class TestInjection:
 
     def test_q_zero_pure_text_still_decodes(self):
         lm = tiny_lm()
-        mm = lm.inject("Given the history", "Answer yes.", None)
+        mm = one_row(lm, "Given the history", "Answer yes.", None)
         assert mm.n_injected == 0
         texts, steps = lm.generate(mm)
         assert isinstance(texts[0], str)
@@ -112,24 +127,25 @@ class TestInjection:
     def test_same_question_differs_only_in_injected_rows(self):
         lm = tiny_lm()
         rng = np.random.default_rng(0)
-        q1 = Tensor(rng.normal(size=(4, 16)))
-        q2 = Tensor(rng.normal(size=(4, 16)))
-        mm1 = lm.inject("Given the history", "What is the last event?", q1)
-        mm2 = lm.inject("Given the history", "What is the last event?", q2)
+        q1 = Tensor(rng.normal(size=(1, 4, 16)))
+        q2 = Tensor(rng.normal(size=(1, 4, 16)))
+        mm1 = one_row(lm, "Given the history", "What is the last event?", q1)
+        mm2 = one_row(lm, "Given the history", "What is the last event?", q2)
         np.testing.assert_array_equal(mm1.prefix_ids, mm2.prefix_ids)
         np.testing.assert_array_equal(mm1.body_ids, mm2.body_ids)
         assert not np.array_equal(mm1.injected.data, mm2.injected.data)
 
     def test_overlength_stream_rejected_with_measured_lengths(self):
         lm = tiny_lm(max_input_len=10)
-        queries = Tensor(np.zeros((8, 16)))
+        queries = Tensor(np.zeros((1, 8, 16)))
         with pytest.raises(ConfigError, match="exceeds max input"):
-            lm.inject("Given the history", "What is the last event?", queries)
+            one_row(lm, "Given the history", "What is the last event?",
+                    queries)
 
     def test_injected_width_checked(self):
         lm = tiny_lm()
         with pytest.raises(ConfigError, match="injected rows"):
-            lm.inject("Given", "Answer yes.", Tensor(np.zeros((4, 7))))
+            one_row(lm, "Given", "Answer yes.", Tensor(np.zeros((1, 4, 7))))
 
 
 class TestLora:
@@ -141,7 +157,7 @@ class TestLora:
 
     def test_zero_init_identity_exact(self):
         lm = tiny_lm(seed=1)
-        mm = lm.inject("Given the history", "Answer yes.", None)
+        mm = one_row(lm, "Given the history", "Answer yes.", None)
         with ad.no_grad():
             base_out, _ = lm.encode(mm)
             base_logits = lm.decode(np.array([[BOS]]), base_out,
@@ -193,7 +209,7 @@ class TestLora:
             return h.hexdigest()
 
         before = frozen_hash()
-        mm = lm.inject("Given the history", "Answer yes.", None)
+        mm = one_row(lm, "Given the history", "Answer yes.", None)
         answer = np.array([[lm.tokenizer.yes_id, EOS]])
         params = lm.trainable_parameters()
         opt = AdamW(params)
@@ -218,7 +234,7 @@ class TestLora:
                      dec_layers=1)
         apply_lora(lm, LoraConfig(rank=2, alpha=4.0, dropout=0.0),
                    np.random.default_rng(11))
-        mm = lm.inject("Given the history", "Answer yes.", None)
+        mm = one_row(lm, "Given the history", "Answer yes.", None)
         answer = np.array([[lm.tokenizer.yes_id, EOS]])
         valid = np.ones((1, 2))
         params = lm.trainable_parameters()
@@ -233,7 +249,7 @@ class TestGeneration:
         """A model fine-tuned onto the constant answer emits Yes anywhere."""
         lm = tiny_lm(seed=12)
         tok = lm.tokenizer
-        mm_train = lm.inject("Given the history", "Answer yes.", None)
+        mm_train = one_row(lm, "Given the history", "Answer yes.", None)
         answer = np.array([[tok.yes_id, EOS]])
         opt = AdamW(lm.parameters(), weight_decay=0.0)
         for _ in range(40):
@@ -242,21 +258,21 @@ class TestGeneration:
             backward(loss)
             opt.step(0.05)
         for body in ("Answer yes.", "What is the last event?"):
-            mm = lm.inject("Given the history", body, None)
+            mm = one_row(lm, "Given the history", body, None)
             texts, steps = lm.generate(mm)
             assert texts[0] == "Yes"
-            assert lm.binary_score(mm) > 0.0
+            assert yes_minus_no(lm, mm) > 0.0
 
     def test_greedy_decoding_deterministic(self):
         lm = tiny_lm(seed=13)
-        mm = lm.inject("Given the history", "What is the last event?", None)
+        mm = one_row(lm, "Given the history", "What is the last event?", None)
         a, _ = lm.generate(mm)
         b, _ = lm.generate(mm)
         assert a == b
 
     def test_first_position_distribution_sums_to_one(self):
         lm = tiny_lm(seed=14)
-        mm = lm.inject("Given the history", "Answer yes.", None)
+        mm = one_row(lm, "Given the history", "Answer yes.", None)
         _, steps = lm.generate(mm)
         assert steps[0].sum(axis=-1)[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -264,18 +280,18 @@ class TestGeneration:
         lm = tiny_lm(seed=15)
         lm.lm_head.w.data[:] = 0.0
         lm.lm_head.b.data[:] = 0.0  # all logits equal -> p(yes) == p(no)
-        mm = lm.inject("Given the history", "Answer yes.", None)
-        assert lm.binary_score(mm) == pytest.approx(0.0, abs=1e-15)
+        mm = one_row(lm, "Given the history", "Answer yes.", None)
+        assert yes_minus_no(lm, mm) == pytest.approx(0.0, abs=1e-15)
 
     def test_score_range(self):
         lm = tiny_lm(seed=16)
-        mm = lm.inject("Given the history", "Answer yes.", None)
-        score = lm.binary_score(mm)
+        mm = one_row(lm, "Given the history", "Answer yes.", None)
+        score = yes_minus_no(lm, mm)
         assert -1.0 <= score <= 1.0
 
     def test_generation_stops_at_eos_limit(self):
         lm = tiny_lm(seed=17)
-        mm = lm.inject("Given the history", "Answer yes.", None)
+        mm = one_row(lm, "Given the history", "Answer yes.", None)
         texts, steps = lm.generate(mm, max_new_tokens=3)
         assert len(steps) <= 3
 
@@ -297,6 +313,12 @@ class TestBatchedForward:
         mm_batch = lm.batch_inputs(prefix_ids, body_ids, body_valid, None)
         texts_batch, _ = lm.generate(mm_batch)
 
-        mm_single = lm.inject(prefix, bodies[0], None)
+        mm_single = one_row(lm, prefix, bodies[0], None)
         texts_single, _ = lm.generate(mm_single)
         assert texts_batch[0] == texts_single[0]
+
+    def test_pad_rows_layout(self):
+        ids, valid = pad_rows([[7, 8, 9], [5]])
+        np.testing.assert_array_equal(ids, [[7, 8, 9], [5, PAD, PAD]])
+        np.testing.assert_array_equal(valid, [[1, 1, 1], [1, 0, 0]])
+        assert ids.dtype == np.int64 and valid.dtype == np.float64

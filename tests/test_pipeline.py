@@ -9,15 +9,16 @@ import pytest
 
 from eventqa.cli import main as cli_main
 from eventqa.connector import ConnectorConfig
-from eventqa.data import GeneratorConfig
+from eventqa.data import Dataset, GeneratorConfig, save_jsonl
 from eventqa.encoder import EncoderConfig
 from eventqa.errors import ConfigError
 from eventqa.lm import LoraConfig, ToyLmConfig
-from eventqa.pipeline import (ExperimentConfig, StageSchedule, evaluate_stage,
-                              fit_codec_stage, generate_data, load_pipeline,
-                              load_splits, match_question,
-                              pretrain_encoder_stage, train_stage,
-                              warmup_lm_stage)
+from eventqa.pipeline import (ExperimentConfig, StageSchedule, ask,
+                              evaluate_stage, fit_codec_stage, generate_data,
+                              load_pipeline, load_splits, match_question,
+                              pretrain_encoder_stage, run_inference,
+                              train_stage, warmup_lm_stage)
+from eventqa.qa import build_tasks
 
 
 def tiny_experiment(seed=11, **kw):
@@ -143,6 +144,39 @@ class TestStages:
         for tr in report.tasks:
             assert "accuracy" in tr.baselines
 
+    def test_ask_answers_every_question_form_as_batched_inference(
+            self, trained, tmp_path):
+        cfg, out, train, val = trained[:4]
+        model, config, codec, _ = load_pipeline(out)
+        tasks = [t for t in config.built_tasks()
+                 if t.task_id in config.trained_task_ids()]
+        clients = Dataset(val.schema, val.sequences[:3])
+        pairs, _, texts, _ = run_inference(model, clients, tasks, codec,
+                                           config)
+        batched = {(p.client_id, p.task_id): text
+                   for p, text in zip(pairs, texts)}
+        for seq in clients.sequences:
+            path = tmp_path / f"{seq.client_id}.jsonl"
+            save_jsonl(Dataset(val.schema, [seq]), path)
+            for task in tasks:
+                readme = task.template.format(feature=task.feature)
+                canonical = f"{readme} {task.instruction}"
+                spaced = canonical.replace(" ", "  ")
+                answers = [ask(out, path, q)["generation"]
+                           for q in (readme, canonical, spaced)]
+                assert answers == [batched[(seq.client_id, task.task_id)]] * 3
+
+    def test_yes_no_score_read_from_first_decoding_step(self, trained):
+        cfg, out, train, val = trained[:4]
+        model, config, codec, _ = load_pipeline(out)
+        tasks = config.built_tasks()
+        _, _, _, scores = run_inference(model, val, tasks, codec, config)
+        assert scores and all(-1.0 <= s <= 1.0 for s in scores)
+        model.lm.lm_head.w.data[:] = 0.0
+        model.lm.lm_head.b.data[:] = 0.0  # all logits equal -> p(Yes) == p(No)
+        _, _, _, tied = run_inference(model, val, tasks, codec, config)
+        assert tied == [0.0] * len(scores)
+
     def test_codec_fitted_on_train_only(self, trained):
         cfg, out, train, val = trained[:4]
         codec = fit_codec_stage(cfg, train)
@@ -250,6 +284,27 @@ class TestConfigValidation:
                 queries=4, d_model=16, layers=2, heads=4, d_enc=16,
                 d_out=999, max_events=16))
 
+    def test_minimal_json_takes_dataclass_defaults(self):
+        cfg = tiny_experiment()
+        minimal = ExperimentConfig.from_json(
+            {"generator": cfg.generator.to_json(), "tasks": cfg.tasks})
+        direct = ExperimentConfig(cfg.generator, cfg.tasks)
+        assert minimal.to_json() == direct.to_json()
+        assert minimal.config_hash() == direct.config_hash()
+
+    @pytest.mark.parametrize("name", ["generator", "tasks"])
+    def test_missing_required_field_named(self, name):
+        payload = tiny_experiment().to_json()
+        del payload[name]
+        with pytest.raises(ConfigError, match=f"missing field '{name}'"):
+            ExperimentConfig.from_json(payload)
+
+    def test_unknown_keys_ignored(self):
+        payload = tiny_experiment().to_json()
+        payload["no_such_field"] = 1
+        assert ExperimentConfig.from_json(payload).to_json() == \
+            tiny_experiment().to_json()
+
     def test_json_roundtrip(self):
         cfg = tiny_experiment()
         again = ExperimentConfig.from_json(
@@ -273,6 +328,14 @@ class TestMatchQuestion:
         task, _ = match_question("What is the category of the last event?",
                                  tasks)
         assert task.task_id == "last_category"
+
+    def test_whitespace_runs_count_as_one_space(self):
+        tasks = build_tasks([{"id": "occ", "family": "occurrence",
+                              "feature": "category"}])
+        task, slots = match_question(
+            " Does the value  c1 \t occur for category?\nAnswer Yes or No. ",
+            tasks)
+        assert task.task_id == "occ" and slots == {"value": "c1"}
 
     def test_unregistered_question_lists_templates(self):
         cfg = tiny_experiment()

@@ -1,5 +1,7 @@
 """QA engine: rendering, ground truth, parsing, corpus building."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,9 +323,9 @@ class TestCorpus:
             {"id": "last", "family": "last_value", "feature": "product"},
             {"id": "mode", "family": "most_frequent", "feature": "product"},
         ])
-        pairs, counts = build_corpus(ds, tasks, codec, seed=0)
+        pairs = build_corpus(ds, tasks, codec, 0, DEFAULT_PREFIX, 1, 32)
         assert len(pairs) == 200
-        assert counts == {"last": 100, "mode": 100}
+        assert Counter(p.task_id for p in pairs) == {"last": 100, "mode": 100}
 
     def test_interleaved_uniformly(self):
         ds, codec = fitted(product_dataset(n=10, seed=2))
@@ -331,7 +333,7 @@ class TestCorpus:
             {"id": "last", "family": "last_value", "feature": "product"},
             {"id": "mode", "family": "most_frequent", "feature": "product"},
         ])
-        pairs, _ = build_corpus(ds, tasks, codec, seed=0)
+        pairs = build_corpus(ds, tasks, codec, 0, DEFAULT_PREFIX, 1, 32)
         assert [p.task_id for p in pairs[:4]] == ["last", "mode",
                                                   "last", "mode"]
 
@@ -342,10 +344,10 @@ class TestCorpus:
              "feature": "product"},
             {"id": "mc", "family": "most_frequent_mc", "feature": "product"},
         ])
-        a, _ = build_corpus(ds, tasks, codec, seed=5)
-        b, _ = build_corpus(ds, tasks, codec, seed=5)
+        a = build_corpus(ds, tasks, codec, 5, DEFAULT_PREFIX, 1, 32)
+        b = build_corpus(ds, tasks, codec, 5, DEFAULT_PREFIX, 1, 32)
         assert corpus_to_jsonl(a) == corpus_to_jsonl(b)
-        c, _ = build_corpus(ds, tasks, codec, seed=6)
+        c = build_corpus(ds, tasks, codec, 6, DEFAULT_PREFIX, 1, 32)
         assert corpus_to_jsonl(a) != corpus_to_jsonl(c)
 
     def test_corpus_jsonl_schema(self):
@@ -353,7 +355,7 @@ class TestCorpus:
         ds, codec = fitted(product_dataset(n=2, seed=4))
         tasks = build_tasks([
             {"id": "last", "family": "last_value", "feature": "product"}])
-        pairs, _ = build_corpus(ds, tasks, codec, seed=0)
+        pairs = build_corpus(ds, tasks, codec, 0, DEFAULT_PREFIX, 1, 32)
         line = corpus_to_jsonl(pairs).splitlines()[0]
         obj = _json.loads(line)
         assert set(obj) == {"task", "client_id", "prefix", "body", "answer",
@@ -362,7 +364,22 @@ class TestCorpus:
     def test_empty_task_list_rejected(self):
         ds, codec = fitted()
         with pytest.raises(ConfigError):
-            build_corpus(ds, [], codec, seed=0)
+            build_corpus(ds, [], codec, 0, DEFAULT_PREFIX, 1, 32)
+
+    def test_truth_covers_the_visible_window(self):
+        products = [PRODUCTS[0]] * 22 + [PRODUCTS[1]] + [PRODUCTS[2]] * 7
+        ds = Dataset(product_dataset().schema, [seq_of(products)])
+        _, codec = fitted()
+        tasks = build_tasks([
+            {"id": "count", "family": "count_events"},
+            {"id": "first", "family": "first_value", "feature": "product"},
+            {"id": "next", "family": "next_value", "feature": "product"},
+        ])
+        pairs = build_corpus(ds, tasks, codec, 0, DEFAULT_PREFIX, 1, 8)
+        truths = {p.task_id: p.truth for p in pairs}
+        assert truths["count"] == 8
+        assert truths["first"] == products[22] != products[0]
+        assert truths["next"] == products[29]
 
     def test_pair_answer_matches_truth_serialization(self):
         ds, codec = fitted(product_dataset(n=10, seed=5))
