@@ -71,9 +71,15 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` into ``.grad``.
+
+        A first gradient is copied unless ``owned``: the caller then hands
+        over an array no other tensor holds or will write, such as one it
+        just allocated or a view of a gradient ``backward`` frees next.
+        """
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            self.grad = g if owned else np.array(g, dtype=np.float64, copy=True)
         else:
             self.grad += g
 
@@ -158,11 +164,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
+    # ``g`` goes to both parents, so a parent owns only a reduced copy
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
+            ga = _unbroadcast(g, a.shape)
+            a.accumulate_grad(ga, owned=ga is not g)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
+            gb = _unbroadcast(g, b.shape)
+            b.accumulate_grad(gb, owned=gb is not g)
 
     return _make(data, (a, b), backward)
 
@@ -172,9 +181,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
+            ga = _unbroadcast(g, a.shape)
+            a.accumulate_grad(ga, owned=ga is not g)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.shape))
+            b.accumulate_grad(_unbroadcast(-g, b.shape), owned=True)
 
     return _make(data, (a, b), backward)
 
@@ -184,21 +194,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
+            a.accumulate_grad(_unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            b.accumulate_grad(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return _make(data, (a, b), backward)
 
@@ -208,7 +206,7 @@ def exp(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(g * data)
+            a.accumulate_grad(g * data, owned=True)
 
     return _make(data, (a,), backward)
 
@@ -218,7 +216,7 @@ def log(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(g / a.data)
+            a.accumulate_grad(g / a.data, owned=True)
 
     return _make(data, (a,), backward)
 
@@ -228,7 +226,7 @@ def relu(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(g * (a.data > 0.0))
+            a.accumulate_grad(g * (a.data > 0.0), owned=True)
 
     return _make(data, (a,), backward)
 
@@ -238,7 +236,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(g * data * (1.0 - data))
+            a.accumulate_grad(g * data * (1.0 - data), owned=True)
 
     return _make(data, (a,), backward)
 
@@ -248,7 +246,7 @@ def tanh(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(g * (1.0 - data * data))
+            a.accumulate_grad(g * (1.0 - data * data), owned=True)
 
     return _make(data, (a,), backward)
 
@@ -262,7 +260,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(g.reshape(a.shape))
+            a.accumulate_grad(g.reshape(a.shape), owned=True)
 
     return _make(data, (a,), backward)
 
@@ -274,7 +272,7 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(g.transpose(inverse))
+            a.accumulate_grad(g.transpose(inverse), owned=True)
 
     return _make(data, (a,), backward)
 
@@ -287,7 +285,7 @@ def getitem(a: Tensor, key) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.data)
             full[key] = g
-            a.accumulate_grad(full)
+            a.accumulate_grad(full, owned=True)
 
     return _make(data, (a,), backward)
 
@@ -327,7 +325,7 @@ def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
         if table.requires_grad:
             full = np.zeros_like(table.data)
             np.add.at(full, idx.reshape(-1), g.reshape(-1, table.shape[-1]))
-            table.accumulate_grad(full)
+            table.accumulate_grad(full, owned=True)
 
     return _make(data, (table,), backward)
 
@@ -343,11 +341,11 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if not a.requires_grad:
             return
         if axis is None:
-            a.accumulate_grad(np.broadcast_to(g, a.shape).copy())
+            a.accumulate_grad(np.broadcast_to(g, a.shape).copy(), owned=True)
             return
         if not keepdims:
             g = np.expand_dims(g, axis)
-        a.accumulate_grad(np.broadcast_to(g, a.shape).copy())
+        a.accumulate_grad(np.broadcast_to(g, a.shape).copy(), owned=True)
 
     return _make(data, (a,), backward)
 
@@ -372,12 +370,78 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             ga = g @ b.data.swapaxes(-1, -2)
-            a.accumulate_grad(_unbroadcast(ga, a.shape))
+            a.accumulate_grad(_unbroadcast(ga, a.shape), owned=True)
         if b.requires_grad:
             gb = a.data.swapaxes(-1, -2) @ g
-            b.accumulate_grad(_unbroadcast(gb, b.shape))
+            b.accumulate_grad(_unbroadcast(gb, b.shape), owned=True)
 
     return _make(data, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``, as one 2-D GEMM.
+
+    ``x`` has any number of leading axes; ``w`` is (d_in, d_out) and ``b``
+    (d_out,). A frozen ``w`` or ``b`` gets no gradient computed.
+    """
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out = x2 @ w.data
+    if b is not None:
+        out += b.data
+    data = out.reshape(x.shape[:-1] + (w.shape[1],))
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if w.requires_grad:
+            w.accumulate_grad(x2.T @ g2, owned=True)
+        if b is not None and b.requires_grad:
+            b.accumulate_grad(g2.sum(axis=0), owned=True)
+        if x.requires_grad:
+            x.accumulate_grad((g2 @ w.data.T).reshape(x.shape), owned=True)
+
+    return _make(data, (x, w) if b is None else (x, w, b), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+              mask: np.ndarray | None = None) -> Tensor:
+    """``softmax(q k^T * scale + mask) v`` on (B, H, T, d_head) operands.
+
+    One graph node: the scores are masked and normalized in place in one
+    (B, H, Tq, Tk) buffer, and only the probabilities are kept for backward.
+    The scale is applied to ``q``, which is smaller than the scores.
+    ``mask`` is additive and broadcasts against the scores. The softmax
+    ignores a shift of a whole row, so a row whose keys are all masked
+    attends as if unmasked, up to the float64 rounding of
+    ``scores + NEG_INF``.
+    """
+    qs = q.data * scale
+    p = qs @ k.data.swapaxes(-1, -2)
+    if mask is not None:
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    data = p @ v.data
+
+    def backward(g):
+        if v.requires_grad:
+            v.accumulate_grad(p.swapaxes(-1, -2) @ g, owned=True)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        # softmax backward: ds = p * (dp - rowsum(dp * p)), and
+        # rowsum(dp * p) = rowsum(g * out) (FlashAttention's D term), which
+        # needs no (Tq, Tk) temporary
+        ds = g @ v.data.swapaxes(-1, -2)
+        ds -= (g * data).sum(axis=-1, keepdims=True)
+        ds *= p
+        if q.requires_grad:
+            dq = ds @ k.data
+            dq *= scale
+            q.accumulate_grad(dq, owned=True)
+        if k.requires_grad:
+            k.accumulate_grad(ds.swapaxes(-1, -2) @ qs, owned=True)
+
+    return _make(data, (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +457,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     def backward(g):
         if a.requires_grad:
             dot = (g * data).sum(axis=axis, keepdims=True)
-            a.accumulate_grad(data * (g - dot))
+            a.accumulate_grad(data * (g - dot), owned=True)
 
     return _make(data, (a,), backward)
 
@@ -406,7 +470,8 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     def backward(g):
         if a.requires_grad:
             soft = np.exp(data)
-            a.accumulate_grad(g - soft * g.sum(axis=axis, keepdims=True))
+            a.accumulate_grad(g - soft * g.sum(axis=axis, keepdims=True),
+                              owned=True)
 
     return _make(data, (a,), backward)
 
@@ -422,15 +487,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     def backward(g):
         if gamma.requires_grad:
             axes = tuple(range(g.ndim - 1))
-            gamma.accumulate_grad((g * xhat).sum(axis=axes))
+            gamma.accumulate_grad((g * xhat).sum(axis=axes), owned=True)
         if beta.requires_grad:
             axes = tuple(range(g.ndim - 1))
-            beta.accumulate_grad(g.sum(axis=axes))
+            beta.accumulate_grad(g.sum(axis=axes), owned=True)
         if x.requires_grad:
             gy = g * gamma.data
             m1 = gy.mean(axis=-1, keepdims=True)
             m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad(inv * (gy - m1 - xhat * m2))
+            x.accumulate_grad(inv * (gy - m1 - xhat * m2), owned=True)
 
     return _make(data, (x, gamma, beta), backward)
 
@@ -476,7 +541,7 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) 
         onehot = np.zeros_like(soft)
         np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
         grad = (soft - onehot) * (mask / total)[..., None]
-        logits.accumulate_grad(g * grad)
+        logits.accumulate_grad(g * grad, owned=True)
 
     return _make(np.asarray(data), (logits,), backward)
 
@@ -518,7 +583,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
             if id(p) not in seen:
                 stack.append((p, False))
 
-    loss.accumulate_grad(np.ones_like(loss.data))
+    loss.accumulate_grad(np.ones_like(loss.data), owned=True)
     grads: dict[Tensor, np.ndarray] = {}
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:

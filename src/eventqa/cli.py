@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .checkpoint import atomic_write_text
+from .checkpoint import atomic_write_text, load_sidecar
 from .codec import DatasetCodec
 from .errors import ConfigError, DataError, DivergenceError
 from .metrics import score_task, statistical_baseline
@@ -130,8 +130,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     task_ids = args.tasks.split(",") if args.tasks else None
-    from .pipeline import load_pipeline
-    _, config, _, _ = load_pipeline(args.out)
+    sidecar = load_sidecar(Path(args.out) / "pipeline.json")
+    config = ExperimentConfig.from_json(sidecar["config"])
     _, train, val = _splits(config, args)
     dataset = train if args.split == "train" else val
     report = evaluate_stage(args.out, dataset, task_ids=task_ids,

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, config_from_json
 
 
 @dataclass
@@ -63,7 +63,7 @@ class ConnectorConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "ConnectorConfig":
-        return cls(**d)
+        return config_from_json(cls, d)
 
 
 class _ConnectorBlock(nn.Module):

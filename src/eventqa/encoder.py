@@ -18,7 +18,7 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .codec import DatasetCodec, EventEmbedder
-from .errors import ConfigError
+from .errors import ConfigError, config_from_json
 
 ARCHITECTURES = ("causal_transformer", "gru", "lstm")
 
@@ -52,7 +52,7 @@ class EncoderConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
+        return config_from_json(cls, d)
 
 
 class EventEncoder(nn.Module):

@@ -4,6 +4,8 @@ The CLI maps these to exit codes: ConfigError -> 2, DataError -> 3,
 DivergenceError -> 4.
 """
 
+from dataclasses import fields
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
@@ -20,3 +22,20 @@ class DivergenceError(RuntimeError):
         super().__init__(f"Diverged at step {step}: loss={loss}")
         self.step = step
         self.loss = loss
+
+
+def config_from_json(cls, d):
+    """Build the config dataclass ``cls`` from the JSON object ``d``.
+
+    Keys that are not fields of ``cls``, and values its constructor rejects
+    with a TypeError, raise ConfigError naming ``cls``.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__} expects a JSON object, got {d!r}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{cls.__name__}: unknown key(s) {unknown}")
+    try:
+        return cls(**d)
+    except TypeError as e:
+        raise ConfigError(f"{cls.__name__}: {e}") from None

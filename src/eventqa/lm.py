@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, config_from_json
 
 PAD, BOS, EOS, SEQ_PREFIX, SEQ_SUFFIX = range(5)
 SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<seq>", "</seq>")
@@ -131,7 +131,7 @@ class ToyLmConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "ToyLmConfig":
-        return cls(**d)
+        return config_from_json(cls, d)
 
 
 @dataclass
@@ -145,7 +145,7 @@ class LoraConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "LoraConfig":
-        return cls(**d)
+        return config_from_json(cls, d)
 
 
 def pad_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:

@@ -108,10 +108,7 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.d_in:
             raise ValueError(f"Linear expected last dim {self.d_in}, got {x.shape[-1]}")
-        out = ad.matmul(x, self.w)
-        if self.has_bias:
-            out = ad.add(out, self.b)
-        return out
+        return ad.linear(x, self.w, self.b if self.has_bias else None)
 
 
 class LoraLinear(Module):
@@ -145,7 +142,7 @@ class LoraLinear(Module):
         xa = x
         if self.dropout_p > 0.0 and self.training:
             xa = ad.dropout(x, self.dropout_p, self._rng)
-        delta = ad.matmul(ad.matmul(xa, self.lora_a), self.lora_b)
+        delta = ad.linear(ad.linear(xa, self.lora_a), self.lora_b)
         return ad.add(out, ad.mul(delta, Tensor(self.scaling)))
 
 
@@ -225,12 +222,7 @@ class MultiHeadAttention(Module):
             k_lin = ad.add(k_lin, key_bias)
         k = self._split(k_lin, b, tk)
         v = self._split(self.wv(kv), b, tk)
-        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                        Tensor(1.0 / np.sqrt(self.d_head)))
-        if mask is not None:
-            scores = ad.add(scores, Tensor(mask))
-        attn = ad.softmax(scores, axis=-1)
-        ctx = ad.matmul(attn, v)
+        ctx = ad.attention(q, k, v, 1.0 / np.sqrt(self.d_head), mask)
         merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, tq, self.d_model))
         return self.wo(merged)
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
+from .errors import config_from_json
 
 
 @dataclass
@@ -59,7 +60,7 @@ class LrSchedule:
 
     @classmethod
     def from_json(cls, d: dict) -> "LrSchedule":
-        return cls(**d)
+        return config_from_json(cls, d)
 
 
 @dataclass

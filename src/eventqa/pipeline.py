@@ -37,7 +37,8 @@ from .connector import Connector, ConnectorConfig
 from .data import (Dataset, EventSequence, GeneratorConfig, Schema,
                    generate_synthetic, load_jsonl, save_jsonl, split_by_client)
 from .encoder import EncoderConfig, EventEncoder, NextEventHeads, next_event_loss
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import (ConfigError, DataError, DivergenceError,
+                     config_from_json)
 from .lm import (EOS, LoraConfig, Tokenizer, ToyLm, ToyLmConfig, apply_lora,
                  pad_rows, set_lora_training)
 from .metrics import EvalReport, TaskResult, score_task, statistical_baseline
@@ -58,6 +59,12 @@ class StageSchedule:
     cycle_length: int | None = None     # defaults to the post-warmup length
     restart_multiplier: float = 1.0
 
+    def __post_init__(self):
+        for name in ("epochs", "batch_size", "warmup_steps"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+
     def to_json(self) -> dict:
         return {"epochs": self.epochs, "batch_size": self.batch_size,
                 "peak_lr": self.peak_lr, "min_lr": self.min_lr,
@@ -67,7 +74,7 @@ class StageSchedule:
 
     @classmethod
     def from_json(cls, d: dict) -> "StageSchedule":
-        return cls(**d)
+        return config_from_json(cls, d)
 
     def schedule(self, total_steps: int) -> LrSchedule:
         cycle = self.cycle_length or max(total_steps - self.warmup_steps, 1)
@@ -145,14 +152,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "ExperimentConfig":
-        """Fields absent from ``d`` keep their defaults; unknown keys are
-        ignored."""
+        """Fields absent from ``d`` keep their defaults; unknown top-level
+        keys are ignored, unknown keys inside a section are rejected."""
         kwargs = {}
         try:
             for f in fields(cls):
                 if f.name in d:
                     read = _SECTIONS.get(f.name)
-                    kwargs[f.name] = read(d[f.name]) if read else d[f.name]
+                    try:
+                        kwargs[f.name] = read(d[f.name]) if read else d[f.name]
+                    except ConfigError as e:
+                        raise ConfigError(
+                            f"config section {f.name!r}: {e}") from None
                 elif f.default is MISSING and f.default_factory is MISSING:
                     raise KeyError(f.name)
             return cls(**kwargs)

@@ -217,3 +217,189 @@ def test_no_grad_blocks_recording():
     assert not y.requires_grad
     with pytest.raises(ValueError):
         backward(y)
+
+
+# ---------------------------------------------------------------------------
+# fused ops: linear and attention
+
+
+def _rel(a, b):
+    """Largest entry difference relative to the largest reference entry."""
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+def _weighted(out, rng):
+    """A scalar loss with a random weight per output entry."""
+    return ad.tsum(ad.mul(out, Tensor(rng.normal(size=out.shape))))
+
+
+def _composed_attention(q, k, v, scale, mask):
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), Tensor(scale))
+    if mask is not None:
+        scores = ad.add(scores, Tensor(mask))
+    return ad.matmul(ad.softmax(scores, axis=-1), v)
+
+
+def _attention_case(name, seed=0):
+    """(q, k, v, scale, mask) on random shapes for one masking case."""
+    rng = np.random.default_rng(seed)
+    b, h, d = rng.integers(1, 4), rng.integers(1, 4), rng.integers(2, 5)
+    tq = rng.integers(2, 6)
+    tk = tq if name == "causal" else tq + rng.integers(1, 4)
+    if name == "causal":
+        mask = np.triu(np.full((tq, tk), ad.NEG_INF), k=1)[None, None]
+    else:
+        b = max(b, 2)
+        valid = (rng.random((b, tk)) < 0.7).astype(float)
+        valid[:, 0] = 1.0
+        if name == "all_masked":
+            valid[1] = 0.0
+        mask = ((1.0 - valid) * ad.NEG_INF)[:, None, None, :]
+
+    def t(n):
+        return Tensor(rng.normal(size=(b, h, n, d)), requires_grad=True)
+
+    return t(tq), t(tk), t(tk), 1.0 / np.sqrt(d), mask
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["causal", "padded_cross"])
+def test_attention_gradcheck(name, seed):
+    q, k, v, scale, mask = _attention_case(name, seed)
+    weights = Tensor(np.random.default_rng(seed).normal(size=q.shape))
+    report = grad_check(
+        lambda: ad.tsum(ad.mul(ad.attention(q, k, v, scale, mask), weights)),
+        {"q": q, "k": k, "v": v}, tolerance=1e-4)
+    assert report["passed"], report["failures"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_attention_gradcheck_with_all_keys_masked(seed):
+    """Batch row 1 has every key masked. The output is linear in ``v``,
+    which passes the finite-difference check. In ``q`` and ``k`` that row's
+    scores are ``q k^T * scale + NEG_INF``, rounded to the float64 spacing
+    at 1e9 (about 1.2e-7), which central differences cannot resolve. There
+    the gradients must equal those with the mask lifted from the row (which
+    pass the check), since shifting a whole row leaves its softmax as is."""
+    q, k, v, scale, mask = _attention_case("all_masked", seed)
+    weights = Tensor(np.random.default_rng(seed).normal(size=q.shape))
+
+    def loss(m):
+        return ad.tsum(ad.mul(ad.attention(q, k, v, scale, m), weights))
+
+    report = grad_check(lambda: loss(mask), {"v": v}, tolerance=1e-4)
+    assert report["passed"], report["failures"]
+    lifted = mask.copy()
+    lifted[1] = 0.0
+    report = grad_check(lambda: loss(lifted), {"q": q, "k": k},
+                        tolerance=1e-4)
+    assert report["passed"], report["failures"]
+    grads = []
+    for m in (mask, lifted):
+        for p in (q, k, v):
+            p.zero_grad()
+        backward(loss(m))
+        grads.append([p.grad.copy() for p in (q, k, v)])
+    for masked, unmasked in zip(*grads):
+        assert _rel(masked, unmasked) < 1e-5
+
+
+@pytest.mark.parametrize("name", ["causal", "padded_cross", "all_masked"])
+def test_attention_matches_composed_ops(name):
+    q, k, v, scale, mask = _attention_case(name, seed=7)
+    rng = np.random.default_rng(8)
+    weights = Tensor(rng.normal(size=q.shape))
+    results = []
+    for op in (ad.attention, _composed_attention):
+        for p in (q, k, v):
+            p.zero_grad()
+        out = op(q, k, v, scale, mask)
+        backward(ad.tsum(ad.mul(out, weights)))
+        results.append([out.data] + [p.grad.copy() for p in (q, k, v)])
+    for fused, composed in zip(*results):
+        assert _rel(fused, composed) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_gradcheck_and_matches_matmul_add(shape, bias):
+    rng = np.random.default_rng(len(shape) + 10 * bias)
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True) if bias else None
+    params = {"x": x, "w": w} | ({"b": b} if bias else {})
+    weights = Tensor(rng.normal(size=shape[:-1] + (3,)))
+    report = grad_check(
+        lambda: ad.tsum(ad.mul(ad.linear(x, w, b), weights)), params,
+        tolerance=1e-4)
+    assert report["passed"], report["failures"]
+
+    def composed(x, w, b):
+        out = ad.matmul(x, w)
+        return ad.add(out, b) if b is not None else out
+
+    results = []
+    for op in (ad.linear, composed):
+        for p in params.values():
+            p.zero_grad()
+        out = op(x, w, b)
+        backward(ad.tsum(ad.mul(out, weights)))
+        results.append([out.data] + [p.grad.copy() for p in params.values()])
+    for fused, reference in zip(*results):
+        assert _rel(fused, reference) < 1e-12
+
+
+def test_linear_frozen_weight_gets_no_gradient():
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3)))
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    report = grad_check(lambda: _weighted(ad.linear(x, w, b),
+                                          np.random.default_rng(3)),
+                        {"x": x, "b": b}, tolerance=1e-4)
+    assert report["passed"], report["failures"]
+    assert w.grad is None
+
+
+# ---------------------------------------------------------------------------
+# gradients handed over without a copy must not alias
+
+
+def test_aliased_parents_get_correct_gradients():
+    rng = np.random.default_rng(30)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    bias = Tensor(rng.normal(size=3), requires_grad=True)
+
+    def x_plus_x():
+        return _weighted(ad.add(x, x), np.random.default_rng(1))
+
+    def reshape_used_twice():
+        y = ad.reshape(x, (3, 2))
+        return _weighted(ad.add(ad.mul(y, y), ad.reshape(x, (3, 2))),
+                         np.random.default_rng(2))
+
+    def concat_of_itself():
+        return _weighted(ad.concat([x, x], axis=0), np.random.default_rng(3))
+
+    def broadcast_bias():
+        return _weighted(ad.add(x, bias), np.random.default_rng(4))
+
+    for fn in (x_plus_x, reshape_used_twice, concat_of_itself):
+        report = grad_check(fn, {"x": x}, tolerance=1e-4)
+        assert report["passed"], (fn.__name__, report["failures"])
+    report = grad_check(broadcast_bias, {"x": x, "bias": bias}, tolerance=1e-4)
+    assert report["passed"], report["failures"]
+
+
+def test_leaf_gradients_share_no_memory():
+    rng = np.random.default_rng(31)
+    leaves = [Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+              for _ in range(4)]
+    a, b, c, d = leaves
+    summed = ad.add(a, b)                       # the same g to both parents
+    viewed = ad.add(ad.reshape(c, (3, 2)), ad.transpose(d, (1, 0)))
+    loss = _weighted(ad.add(ad.reshape(summed, (3, 2)), viewed), rng)
+    backward(loss)
+    for i, p in enumerate(leaves):
+        for other in leaves[i + 1:]:
+            assert not np.shares_memory(p.grad, other.grad)

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from eventqa import pipeline
 from eventqa.cli import main as cli_main
-from tests.test_pipeline import tiny_experiment
+from tests.test_pipeline import run_all_stages, tiny_experiment
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,36 @@ def test_full_cli_workflow(config_path, tmp_path, capsys):
                    "--question", "Why is the sky blue?"])
     assert rc == 2
     assert "Known templates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,override,named", [
+    ("generate-data", "encoder.bogus=1", ["'encoder'", "bogus"]),
+    ("pretrain-encoder", "pretrain.epochs=oops", ["'pretrain'", "epochs"]),
+])
+def test_bad_nested_config_value_exits_2(config_path, tmp_path, capsys,
+                                         command, override, named):
+    rc = cli_main([command, "--config", str(config_path), "--set", override,
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    for word in named:
+        assert word in err
+
+
+def test_eval_loads_the_checkpoint_once(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    run_all_stages(tiny_experiment(), out)
+    loads = []
+    original = pipeline.load_pipeline
+
+    def counting(*args, **kwargs):
+        loads.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_pipeline", counting)
+    assert cli_main(["eval", "--out", str(out)]) == 0
+    assert len(loads) == 1
 
 
 def test_baseline_command(config_path, capsys):
