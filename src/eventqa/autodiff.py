@@ -35,10 +35,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """A dense float64 array plus optional autodiff bookkeeping."""
 
@@ -82,9 +78,6 @@ class Tensor:
             self.grad = g if owned else np.array(g, dtype=np.float64, copy=True)
         else:
             self.grad += g
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -478,10 +471,9 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis of ``x`` then apply the affine (gamma, beta)."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
     data = xhat * gamma.data + beta.data
 
     def backward(g):

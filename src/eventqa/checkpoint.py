@@ -7,18 +7,22 @@ little-endian unsigned):
 
 Values are row-major float64. A JSON sidecar next to the container records
 hyperparameters (schedule, optimizer), configs, and flags such as which
-tensors are frozen. Writes are atomic: temp file then rename.
+tensors are frozen. Writes are atomic: temp file then rename. Reading a
+missing, truncated or malformed file raises DataError naming the path.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from .errors import DataError
 
 _U64 = struct.Struct("<Q")
 
@@ -57,31 +61,47 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as e:
+        raise DataError(f"cannot read checkpoint {path}: {e}") from None
     out: dict[str, np.ndarray] = {}
     pos = 0
     end = len(raw)
 
-    def read_u64() -> int:
+    def take(n: int, what: str) -> int:
+        """Advance past ``n`` bytes; returns where they start."""
         nonlocal pos
-        if pos + 8 > end:
-            raise ValueError(f"truncated checkpoint {path} at byte {pos}")
-        (value,) = _U64.unpack_from(raw, pos)
-        pos += 8
-        return value
+        if n > end - pos:
+            raise DataError(f"truncated checkpoint {path}: {what} at byte "
+                            f"{pos} needs {n} bytes, {end - pos} left")
+        pos += n
+        return pos - n
+
+    def read_u64(what: str) -> int:
+        return _U64.unpack_from(raw, take(8, what))[0]
 
     while pos < end:
-        name_len = read_u64()
-        name = raw[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        rank = read_u64()
-        shape = tuple(read_u64() for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if pos + nbytes > end:
-            raise ValueError(f"truncated tensor data for {name!r} in {path}")
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(shape)
-        pos += nbytes
+        name_len = read_u64("name length")
+        start = take(name_len, "name")
+        try:
+            name = raw[start:pos].decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"tensor name at byte {start} of {path} is not "
+                            f"UTF-8") from None
+        if name in out:
+            raise DataError(f"duplicate tensor {name!r} in {path}")
+        rank = read_u64(f"rank of {name!r}")
+        shape = struct.unpack_from(f"<{rank}Q", raw,
+                                   take(8 * rank, f"shape of {name!r}"))
+        count = math.prod(shape)
+        start = take(8 * count, f"data of {name!r}")
+        try:
+            arr = np.frombuffer(raw, dtype="<f8", count=count,
+                                offset=start).reshape(shape)
+        except ValueError as e:
+            raise DataError(f"tensor {name!r} in {path} has unusable shape "
+                            f"{shape}: {e}") from None
         out[name] = arr.astype(np.float64)
     return out
 
@@ -91,7 +111,14 @@ def save_sidecar(path: str | Path, payload: dict) -> None:
 
 
 def load_sidecar(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+    path = Path(path)
+    try:
+        sidecar = json.loads(path.read_text())
+    except (OSError, ValueError) as e:
+        raise DataError(f"cannot read checkpoint sidecar {path}: {e}") from None
+    if not isinstance(sidecar, dict):
+        raise DataError(f"checkpoint sidecar {path} is not a JSON object")
+    return sidecar
 
 
 def save_checkpoint(base_path: str | Path, tensors: dict[str, np.ndarray],

@@ -21,11 +21,11 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .errors import ConfigError, config_from_json
+from .errors import ConfigError, JsonConfig
 
 
 @dataclass
-class ConnectorConfig:
+class ConnectorConfig(JsonConfig):
     queries: int = 8
     d_model: int = 32
     layers: int = 2
@@ -53,17 +53,6 @@ class ConnectorConfig:
     def _has_cross(self, index: int) -> bool:
         p = self.cross_attention_period
         return index % p == p - 1
-
-    def to_json(self) -> dict:
-        return {"queries": self.queries, "d_model": self.d_model,
-                "layers": self.layers, "heads": self.heads,
-                "cross_attention_period": self.cross_attention_period,
-                "d_enc": self.d_enc, "d_out": self.d_out,
-                "max_events": self.max_events}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ConnectorConfig":
-        return config_from_json(cls, d)
 
 
 class _ConnectorBlock(nn.Module):

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import atomic_write_text
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, JsonConfig
 
 SCHEMA_VERSION = 1
 GENERATOR_VERSION = 1
@@ -367,7 +367,7 @@ def split_by_client(dataset: Dataset, val_fraction: float,
 
 
 @dataclass
-class GeneratorConfig:
+class GeneratorConfig(JsonConfig):
     """Declarative recipe for a synthetic event dataset.
 
     Feature rules:
@@ -416,29 +416,6 @@ class GeneratorConfig:
         for d in self.time_derived:
             if d not in _DERIVATIONS:
                 raise ConfigError(f"unknown time derivation {d!r}")
-
-    def to_json(self) -> dict:
-        return {
-            "version": self.version, "n_clients": self.n_clients,
-            "events_min": self.events_min, "events_max": self.events_max,
-            "features": self.features, "targets": self.targets,
-            "time_derived": self.time_derived, "start_time": self.start_time,
-            "gap_min": self.gap_min, "gap_max": self.gap_max,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "GeneratorConfig":
-        try:
-            return cls(
-                n_clients=d["n_clients"], events_min=d["events_min"],
-                events_max=d["events_max"], features=d["features"],
-                targets=d.get("targets", []),
-                time_derived=d.get("time_derived", []),
-                start_time=d.get("start_time", 1_600_000_000),
-                gap_min=d.get("gap_min", 60), gap_max=d.get("gap_max", 86_400),
-                version=d.get("version", GENERATOR_VERSION))
-        except KeyError as e:
-            raise ConfigError(f"generator config missing field {e.args[0]!r}") from None
 
 
 def evaluate_target_rule(rule: dict, seq: EventSequence) -> int:

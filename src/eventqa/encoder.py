@@ -18,19 +18,18 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .codec import DatasetCodec, EventEmbedder
-from .errors import ConfigError, config_from_json
+from .errors import ConfigError, JsonConfig
 
 ARCHITECTURES = ("causal_transformer", "gru", "lstm")
 
 
 @dataclass
-class EncoderConfig:
+class EncoderConfig(JsonConfig):
     architecture: str = "causal_transformer"
     layers: int = 2
     d_model: int = 32
     heads: int = 4
     d_ff: int = 64
-    dropout: float = 0.0
     max_positions: int = 64
 
     def __post_init__(self):
@@ -43,16 +42,6 @@ class EncoderConfig:
                 f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.layers < 1 or self.max_positions < 1:
             raise ConfigError("layers and max_positions must be >= 1")
-
-    def to_json(self) -> dict:
-        return {"architecture": self.architecture, "layers": self.layers,
-                "d_model": self.d_model, "heads": self.heads,
-                "d_ff": self.d_ff, "dropout": self.dropout,
-                "max_positions": self.max_positions}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "EncoderConfig":
-        return config_from_json(cls, d)
 
 
 class EventEncoder(nn.Module):

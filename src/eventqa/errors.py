@@ -4,7 +4,7 @@ The CLI maps these to exit codes: ConfigError -> 2, DataError -> 3,
 DivergenceError -> 4.
 """
 
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 
 class ConfigError(ValueError):
@@ -39,3 +39,15 @@ def config_from_json(cls, d):
         return cls(**d)
     except TypeError as e:
         raise ConfigError(f"{cls.__name__}: {e}") from None
+
+
+class JsonConfig:
+    """Mixin for config dataclasses: ``to_json`` is ``asdict`` and
+    ``from_json`` is ``config_from_json``."""
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, d):
+        return config_from_json(cls, d)

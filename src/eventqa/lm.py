@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .errors import ConfigError, DataError, config_from_json
+from .errors import ConfigError, DataError, JsonConfig
 
 PAD, BOS, EOS, SEQ_PREFIX, SEQ_SUFFIX = range(5)
 SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<seq>", "</seq>")
@@ -109,7 +109,7 @@ class Tokenizer:
 
 
 @dataclass
-class ToyLmConfig:
+class ToyLmConfig(JsonConfig):
     d_model: int = 48
     enc_layers: int = 2
     dec_layers: int = 2
@@ -123,29 +123,12 @@ class ToyLmConfig:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}")
 
-    def to_json(self) -> dict:
-        return {"d_model": self.d_model, "enc_layers": self.enc_layers,
-                "dec_layers": self.dec_layers, "heads": self.heads,
-                "d_ff": self.d_ff, "max_input_len": self.max_input_len,
-                "max_output_len": self.max_output_len}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ToyLmConfig":
-        return config_from_json(cls, d)
-
 
 @dataclass
-class LoraConfig:
+class LoraConfig(JsonConfig):
     rank: int = 16
     alpha: float = 32.0
     dropout: float = 0.05
-
-    def to_json(self) -> dict:
-        return {"rank": self.rank, "alpha": self.alpha, "dropout": self.dropout}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "LoraConfig":
-        return config_from_json(cls, d)
 
 
 def pad_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 
 import numpy as np
@@ -49,15 +48,6 @@ class Module:
     def freeze(self) -> None:
         for p in self.parameters().values():
             p.requires_grad = False
-
-    def weights_hash(self, trainable_only: bool = False) -> str:
-        """SHA-256 over parameter names and raw float64 bytes, in tree order."""
-        params = self.trainable_parameters() if trainable_only else self.parameters()
-        h = hashlib.sha256()
-        for name, p in params.items():
-            h.update(name.encode("utf-8"))
-            h.update(np.ascontiguousarray(p.data).tobytes())
-        return h.hexdigest()
 
 
 class ModuleList(Module):

@@ -8,11 +8,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import config_from_json
+from .errors import JsonConfig
 
 
 @dataclass
-class LrSchedule:
+class LrSchedule(JsonConfig):
     """Linear warmup to ``peak_lr`` then cosine decay with warm restarts.
 
     Cycle ``c`` has length ``cycle_length * restart_multiplier ** c``; within a
@@ -49,31 +49,18 @@ class LrSchedule:
             1.0 + math.cos(math.pi * tau / length)
         )
 
-    def to_json(self) -> dict:
-        return {
-            "peak_lr": self.peak_lr,
-            "min_lr": self.min_lr,
-            "warmup_steps": self.warmup_steps,
-            "cycle_length": self.cycle_length,
-            "restart_multiplier": self.restart_multiplier,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "LrSchedule":
-        return config_from_json(cls, d)
-
 
 @dataclass
 class OptimizerState:
-    """Per-parameter Adam moments plus the shared step counter."""
+    """Adam moments keyed by parameter name plus the shared step counter."""
 
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-8
-    weight_decay: float = 0.01
+    beta1: float
+    beta2: float
+    eps: float
+    weight_decay: float
     t: int = 0
-    m: dict[int, np.ndarray] = field(default_factory=dict)
-    v: dict[int, np.ndarray] = field(default_factory=dict)
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 class AdamW:
@@ -91,9 +78,9 @@ class AdamW:
         self.params = dict(params)
         self.state = OptimizerState(beta1=beta1, beta2=beta2, eps=eps,
                                     weight_decay=weight_decay)
-        for i, p in enumerate(self.params.values()):
-            self.state.m[i] = np.zeros_like(p.data)
-            self.state.v[i] = np.zeros_like(p.data)
+        for name, p in self.params.items():
+            self.state.m[name] = np.zeros_like(p.data)
+            self.state.v[name] = np.zeros_like(p.data)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -118,16 +105,16 @@ class AdamW:
         s.t += 1
         bc1 = 1.0 - s.beta1 ** s.t
         bc2 = 1.0 - s.beta2 ** s.t
-        for i, p in enumerate(self.params.values()):
+        for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ValueError(
                     f"gradient shape {g.shape} does not match parameter "
                     f"shape {p.data.shape}")
-            s.m[i] = s.beta1 * s.m[i] + (1.0 - s.beta1) * g
-            s.v[i] = s.beta2 * s.v[i] + (1.0 - s.beta2) * (g * g)
-            m_hat = s.m[i] / bc1
-            v_hat = s.v[i] / bc2
+            s.m[name] = s.beta1 * s.m[name] + (1.0 - s.beta1) * g
+            s.v[name] = s.beta2 * s.v[name] + (1.0 - s.beta2) * (g * g)
+            m_hat = s.m[name] / bc1
+            v_hat = s.v[name] / bc2
             if s.weight_decay != 0.0:
                 p.data -= lr * s.weight_decay * p.data
             p.data -= lr * m_hat / (np.sqrt(v_hat) + s.eps)
@@ -140,19 +127,19 @@ class AdamW:
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Moment arrays keyed for checkpointing (resume support)."""
         out = {}
-        for i, name in enumerate(self.params):
-            out[f"opt.m.{name}"] = self.state.m[i]
-            out[f"opt.v.{name}"] = self.state.v[i]
+        for name in self.params:
+            out[f"opt.m.{name}"] = self.state.m[name]
+            out[f"opt.v.{name}"] = self.state.v[name]
         return out
 
     def load_state_tensors(self, tensors: dict[str, np.ndarray], t: int) -> None:
-        for i, name in enumerate(self.params):
+        for name in self.params:
             m = tensors.get(f"opt.m.{name}")
             v = tensors.get(f"opt.v.{name}")
             if m is None or v is None:
                 raise ValueError(f"optimizer state missing for {name}")
-            if m.shape != self.state.m[i].shape:
+            if m.shape != self.state.m[name].shape:
                 raise ValueError(f"optimizer state shape mismatch for {name}")
-            self.state.m[i] = m.copy()
-            self.state.v[i] = v.copy()
+            self.state.m[name] = m.copy()
+            self.state.v[name] = v.copy()
         self.state.t = t

@@ -37,8 +37,7 @@ from .connector import Connector, ConnectorConfig
 from .data import (Dataset, EventSequence, GeneratorConfig, Schema,
                    generate_synthetic, load_jsonl, save_jsonl, split_by_client)
 from .encoder import EncoderConfig, EventEncoder, NextEventHeads, next_event_loss
-from .errors import (ConfigError, DataError, DivergenceError,
-                     config_from_json)
+from .errors import ConfigError, DataError, DivergenceError, JsonConfig
 from .lm import (EOS, LoraConfig, Tokenizer, ToyLm, ToyLmConfig, apply_lora,
                  pad_rows, set_lora_training)
 from .metrics import EvalReport, TaskResult, score_task, statistical_baseline
@@ -50,7 +49,7 @@ from .qa import (DEFAULT_PREFIX, QAPair, QATask, T_BINARY, Unparseable,
 
 
 @dataclass
-class StageSchedule:
+class StageSchedule(JsonConfig):
     epochs: int = 3
     batch_size: int = 32
     peak_lr: float = 3e-3
@@ -65,17 +64,6 @@ class StageSchedule:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
 
-    def to_json(self) -> dict:
-        return {"epochs": self.epochs, "batch_size": self.batch_size,
-                "peak_lr": self.peak_lr, "min_lr": self.min_lr,
-                "warmup_steps": self.warmup_steps,
-                "cycle_length": self.cycle_length,
-                "restart_multiplier": self.restart_multiplier}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "StageSchedule":
-        return config_from_json(cls, d)
-
     def schedule(self, total_steps: int) -> LrSchedule:
         cycle = self.cycle_length or max(total_steps - self.warmup_steps, 1)
         return LrSchedule(peak_lr=self.peak_lr, min_lr=self.min_lr,
@@ -85,7 +73,7 @@ class StageSchedule:
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(JsonConfig):
     generator: GeneratorConfig
     tasks: list[dict]
     held_out_tasks: list[str] = field(default_factory=list)
@@ -134,21 +122,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"connector d_enc {self.connector.d_enc} must equal encoder "
                 f"width {self.encoder.d_model}")
-
-    def to_json(self) -> dict:
-        return {
-            "generator": self.generator.to_json(), "tasks": self.tasks,
-            "held_out_tasks": self.held_out_tasks, "seed": self.seed,
-            "val_fraction": self.val_fraction,
-            "min_seq_len": self.min_seq_len, "max_seq_len": self.max_seq_len,
-            "integer_vocab_cap": self.integer_vocab_cap, "prefix": self.prefix,
-            "encoder": self.encoder.to_json(),
-            "connector": self.connector.to_json(), "lm": self.lm.to_json(),
-            "lora": self.lora.to_json(), "optimizer": self.optimizer,
-            "pretrain": self.pretrain.to_json(), "warmup": self.warmup.to_json(),
-            "train": self.train.to_json(),
-            "eval_batch_size": self.eval_batch_size,
-        }
 
     @classmethod
     def from_json(cls, d: dict) -> "ExperimentConfig":
@@ -219,17 +192,17 @@ class PipelineModel(nn.Module):
         return self.connector.forward(encoded, event_mask)
 
 
-def load_params(module: nn.Module, tensors: dict[str, np.ndarray],
-                prefix: str = "") -> None:
-    for name, p in module.parameters().items():
-        key = prefix + name
-        if key not in tensors:
-            raise ConfigError(f"checkpoint is missing tensor {key!r}")
-        if tensors[key].shape != p.data.shape:
+def load_params(params: dict[str, Tensor],
+                tensors: dict[str, np.ndarray]) -> None:
+    """Copy each checkpoint tensor into the parameter of the same name."""
+    for name, p in params.items():
+        if name not in tensors:
+            raise ConfigError(f"checkpoint is missing tensor {name!r}")
+        if tensors[name].shape != p.data.shape:
             raise ConfigError(
-                f"checkpoint tensor {key!r} has shape {tensors[key].shape}, "
+                f"checkpoint tensor {name!r} has shape {tensors[name].shape}, "
                 f"model expects {p.data.shape}")
-        p.data = tensors[key].copy()
+        p.data = tensors[name].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +262,7 @@ def _chunks(items: list, size: int):
 
 
 # ---------------------------------------------------------------------------
-# generic training loop
+# the training-stage driver
 
 
 def adamw_from_config(params: dict[str, Tensor], optimizer_cfg: dict) -> AdamW:
@@ -299,41 +272,64 @@ def adamw_from_config(params: dict[str, Tensor], optimizer_cfg: dict) -> AdamW:
                             if k in ("beta1", "beta2", "eps", "weight_decay")})
 
 
-def run_training(loss_fn, params: dict[str, Tensor], stage: StageSchedule,
-                 n_batches_per_epoch: int, batch_provider, optimizer_cfg: dict,
-                 start_step: int = 0, optimizer: AdamW | None = None
-                 ) -> tuple[AdamW, list[tuple[int, float, float]]]:
-    """Drive AdamW over the stage's epochs; returns (optimizer, loss curve).
+def run_training(loss_fn, optimizer: AdamW, config: ExperimentConfig,
+                 key: str, items: list, n_batches: int, make_batch
+                 ) -> list[tuple[int, float, float]]:
+    """Drive ``optimizer`` through the ``config.<key>`` stage; returns the
+    loss curve of the steps taken.
 
-    ``batch_provider(epoch, index)`` yields whatever ``loss_fn`` consumes.
+    Every epoch visits ``items`` in a permutation drawn from the seed
+    ``<key>-order``; step ``s`` feeds ``loss_fn`` with ``make_batch`` of the
+    ``s % n_batches``-th slice of ``batch_size`` items. Training starts at
+    ``optimizer.state.t``, so a restored optimizer resumes where it stopped.
     Raises DivergenceError on a non-finite loss, reporting the step.
     """
-    total_steps = stage.epochs * n_batches_per_epoch
+    stage = getattr(config, key)
+    total_steps = stage.epochs * n_batches
     schedule = stage.schedule(total_steps)
-    if optimizer is None:
-        optimizer = adamw_from_config(params, optimizer_cfg)
-    clip = optimizer_cfg.get("clip_norm", 0.0)
+    clip = config.optimizer.get("clip_norm", 0.0)
+    order_rng = np.random.default_rng(derived_seed(config.seed, f"{key}-order"))
+    orders = [order_rng.permutation(len(items)) for _ in range(stage.epochs)]
+    size = stage.batch_size
     curve: list[tuple[int, float, float]] = []
-    step = start_step
-    start_epoch = start_step // n_batches_per_epoch
-    for epoch in range(start_epoch, stage.epochs):
-        for index in range(n_batches_per_epoch):
-            if epoch * n_batches_per_epoch + index < start_step:
-                continue
-            batch = batch_provider(epoch, index)
-            optimizer.zero_grad()
-            loss = loss_fn(batch)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise DivergenceError(step, value)
-            ad.backward(loss)
-            if clip:
-                optimizer.clip_grad_norm(clip)
-            lr = schedule.lr_at(step)
-            optimizer.step(lr)
-            curve.append((step, lr, value))
-            step += 1
-    return optimizer, curve
+    for step in range(optimizer.state.t, total_steps):
+        epoch, index = divmod(step, n_batches)
+        chosen = orders[epoch][index * size:(index + 1) * size]
+        batch = make_batch([items[i] for i in chosen])
+        optimizer.zero_grad()
+        loss = loss_fn(batch)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise DivergenceError(step, value)
+        ad.backward(loss)
+        if clip:
+            optimizer.clip_grad_norm(clip)
+        lr = schedule.lr_at(step)
+        optimizer.step(lr)
+        curve.append((step, lr, value))
+    return curve
+
+
+# stage key -> (sidecar stage name, checkpoint stem); the key also names the
+# config's schedule section, the order seed and the loss CSV
+_STAGES = {"pretrain": ("pretrain-encoder", "encoder"),
+           "warmup": ("warmup-lm", "lm_base"), "train": ("train", "pipeline")}
+
+
+def _save_stage(out: Path, key: str, config: ExperimentConfig, n_batches: int,
+                tensors: dict[str, np.ndarray],
+                curve: list[tuple[int, float, float]], /, **fields) -> Path:
+    """Write ``<stem>.bin``/``.json`` and ``<key>_loss.csv``; the sidecar is
+    the header (stage, config hash, seed, schedule) plus ``fields``."""
+    name, stem = _STAGES[key]
+    stage = getattr(config, key)
+    sidecar = {"stage": name, "config_hash": config.config_hash(),
+               "seed": config.seed,
+               "schedule": stage.schedule(stage.epochs * n_batches).to_json(),
+               **fields}
+    save_checkpoint(out / stem, tensors, sidecar)
+    atomic_write_text(out / f"{key}_loss.csv", curve_to_csv(curve))
+    return out / stem
 
 
 def curve_to_csv(curve: list[tuple[int, float, float]]) -> str:
@@ -343,6 +339,11 @@ def curve_to_csv(curve: list[tuple[int, float, float]]) -> str:
     for step, lr, value in curve:
         writer.writerow([step, f"{lr:.8g}", f"{value:.8g}"])
     return buf.getvalue()
+
+
+def csv_to_curve(text: str) -> list[tuple[int, float, float]]:
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    return [(int(step), float(lr), float(value)) for step, lr, value in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -403,73 +404,38 @@ def pretrain_encoder_stage(config: ExperimentConfig, train: Dataset,
     skipped = len(train.sequences) - len(usable)
     if not usable:
         raise DataError("no sequences with at least 2 events to pretrain on")
-    stage = config.pretrain
-    n_batches = max(1, len(usable) // stage.batch_size)
+    n_batches = max(1, len(usable) // config.pretrain.batch_size)
 
-    params = {}
-    params.update(embedder.parameters("embedder."))
-    params.update(encoder.parameters("encoder."))
-    params.update(heads.parameters("heads."))
-
-    start_step = 0
+    params = {**embedder.parameters("embedder."),
+              **encoder.parameters("encoder."), **heads.parameters("heads.")}
     optimizer = adamw_from_config(params, config.optimizer)
-    prior_curve: list[tuple[int, float, float]] = []
-    ckpt_base = out / "encoder"
+    curve: list[tuple[int, float, float]] = []
     if resume:
-        tensors, sidecar = load_checkpoint(ckpt_base)
+        tensors, sidecar = load_checkpoint(out / "encoder")
         if sidecar.get("encoder") != config.encoder.to_json():
             raise ConfigError(
                 "resume checkpoint was built from a different encoder config")
-        for name, module in (("embedder.", embedder), ("encoder.", encoder),
-                             ("heads.", heads)):
-            load_params(module, tensors, prefix=name)
+        load_params(params, tensors)
         optimizer.load_state_tensors(tensors, sidecar["step"])
-        start_step = sidecar["step"]
         curve_path = out / "pretrain_loss.csv"
         if curve_path.exists():
-            with curve_path.open() as fh:
-                reader = csv.reader(fh)
-                next(reader)
-                prior_curve = [(int(r[0]), float(r[1]), float(r[2]))
-                               for r in reader]
-
-    order_rng = np.random.default_rng(derived_seed(config.seed, "pretrain-order"))
-    epoch_orders = [order_rng.permutation(len(usable))
-                    for _ in range(stage.epochs)]
-
-    def provider(epoch: int, index: int):
-        chosen = epoch_orders[epoch][index * stage.batch_size:
-                                     (index + 1) * stage.batch_size]
-        return codec.encode_batch([usable[i] for i in chosen])
+            curve = csv_to_curve(curve_path.read_text())
 
     def loss_fn(batch):
-        event_batch, mask = batch
-        loss, _ = next_event_loss(encoder, heads, embedder, event_batch, mask)
-        return loss
+        return next_event_loss(encoder, heads, embedder, *batch)[0]
 
-    optimizer, curve = run_training(
-        loss_fn, params, stage, n_batches, provider, config.optimizer,
-        start_step=start_step, optimizer=optimizer)
-
-    full_curve = prior_curve + curve
+    curve += run_training(loss_fn, optimizer, config, "pretrain", usable,
+                          n_batches, codec.encode_batch)
     tensors = {name: p.data for name, p in params.items()}
     tensors.update(optimizer.state_tensors())
-    sidecar = {
-        "stage": "pretrain-encoder",
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "step": start_step + len(curve),
-        "skipped_short_sequences": skipped,
-        "encoder": config.encoder.to_json(),
-        "schedule": stage.schedule(stage.epochs * n_batches).to_json(),
-        "optimizer": optimizer.hyperparams(),
-    }
-    save_checkpoint(ckpt_base, tensors, sidecar)
-    atomic_write_text(out / "pretrain_loss.csv", curve_to_csv(full_curve))
-    first = full_curve[0][2] if full_curve else float("nan")
-    last = full_curve[-1][2] if full_curve else float("nan")
+    checkpoint = _save_stage(
+        out, "pretrain", config, n_batches, tensors, curve,
+        step=optimizer.state.t, skipped_short_sequences=skipped,
+        encoder=config.encoder.to_json(), optimizer=optimizer.hyperparams())
+    first = curve[0][2] if curve else float("nan")
+    last = curve[-1][2] if curve else float("nan")
     return {"initial_loss": first, "final_loss": last,
-            "steps": len(full_curve), "checkpoint": str(ckpt_base)}
+            "steps": len(curve), "checkpoint": str(checkpoint)}
 
 
 # ---------------------------------------------------------------------------
@@ -508,49 +474,33 @@ def warmup_lm_stage(config: ExperimentConfig, codec: DatasetCodec,
     lm = ToyLm(tokenizer, config.lm, rng)
 
     items = warmup_corpus(tokenizer, config.prefix)
-    stage = config.warmup
-    n_batches = max(1, math.ceil(len(items) / stage.batch_size))
-    order_rng = np.random.default_rng(derived_seed(config.seed, "warmup-order"))
-    epoch_orders = [order_rng.permutation(len(items))
-                    for _ in range(stage.epochs)]
+    n_batches = max(1, math.ceil(len(items) / config.warmup.batch_size))
+    prefix_row = np.asarray(tokenizer.tokenize(config.prefix), dtype=np.int64)
 
-    def provider(epoch: int, index: int):
-        chosen = epoch_orders[epoch][index * stage.batch_size:
-                                     (index + 1) * stage.batch_size]
-        chosen = [items[i] for i in chosen]
-        prefix_tok = tokenizer.tokenize(config.prefix)
-        prefix_ids = np.tile(np.asarray(prefix_tok, dtype=np.int64),
-                             (len(chosen), 1))
+    def make_batch(chosen: list[tuple[str, str]]):
         body_ids, body_valid = pad_rows(
             [tokenizer.tokenize(body) for body, _ in chosen])
         answer_ids, answer_valid = pad_rows(
             [tokenizer.tokenize(ans) + [EOS] for _, ans in chosen])
-        return prefix_ids, body_ids, body_valid, answer_ids, answer_valid
-
-    params = lm.parameters("lm.")
+        return (np.tile(prefix_row, (len(chosen), 1)), body_ids, body_valid,
+                answer_ids, answer_valid)
 
     def loss_fn(batch):
         prefix_ids, body_ids, body_valid, answer_ids, answer_valid = batch
         mm = lm.batch_inputs(prefix_ids, body_ids, body_valid, None)
         return lm.answer_loss(mm, answer_ids, answer_valid)
 
-    _, curve = run_training(loss_fn, params, stage, n_batches, provider,
-                            config.optimizer)
-
-    tensors = {name: p.data for name, p in params.items()}
-    sidecar = {
-        "stage": "warmup-lm",
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "lm": config.lm.to_json(),
-        "tokenizer": tokenizer.to_json(),
-        "schedule": stage.schedule(stage.epochs * n_batches).to_json(),
-        "final_loss": curve[-1][2] if curve else None,
-    }
-    save_checkpoint(out / "lm_base", tensors, sidecar)
-    atomic_write_text(out / "warmup_loss.csv", curve_to_csv(curve))
-    return {"final_loss": curve[-1][2] if curve else None,
-            "vocab_size": tokenizer.size, "checkpoint": str(out / "lm_base")}
+    params = lm.parameters("lm.")
+    curve = run_training(loss_fn, adamw_from_config(params, config.optimizer),
+                         config, "warmup", items, n_batches, make_batch)
+    final_loss = curve[-1][2] if curve else None
+    checkpoint = _save_stage(
+        out, "warmup", config, n_batches,
+        {name: p.data for name, p in params.items()}, curve,
+        lm=config.lm.to_json(), tokenizer=tokenizer.to_json(),
+        final_loss=final_loss)
+    return {"final_loss": final_loss, "vocab_size": tokenizer.size,
+            "checkpoint": str(checkpoint)}
 
 
 # ---------------------------------------------------------------------------
@@ -570,14 +520,14 @@ def train_stage(config: ExperimentConfig, train: Dataset, val: Dataset,
 
     rng = np.random.default_rng(derived_seed(config.seed, "train"))
     model = PipelineModel(codec, tokenizer, config, rng)
-    load_params(model.lm, lm_tensors, prefix="lm.")
+    load_params(model.lm.parameters("lm."), lm_tensors)
 
     if not from_scratch_encoder:
         enc_tensors, enc_sidecar = load_checkpoint(out / "encoder")
         if enc_sidecar.get("config_hash") != config.config_hash():
             raise ConfigError("encoder checkpoint does not match this config")
-        load_params(model.embedder, enc_tensors, prefix="embedder.")
-        load_params(model.encoder, enc_tensors, prefix="encoder.")
+        load_params({**model.embedder.parameters("embedder."),
+                     **model.encoder.parameters("encoder.")}, enc_tensors)
 
     # freeze the warmed-up backbone; only adapters and delimiters stay live
     lora_rng = np.random.default_rng(derived_seed(config.seed, "lora"))
@@ -599,22 +549,15 @@ def train_stage(config: ExperimentConfig, train: Dataset, val: Dataset,
     if not pairs:
         raise DataError("no usable training pairs under the length policy")
 
-    stage = config.train
-    n_batches = max(1, len(pairs) // stage.batch_size)
-    order_rng = np.random.default_rng(derived_seed(config.seed, "train-order"))
-    epoch_orders = [order_rng.permutation(len(pairs))
-                    for _ in range(stage.epochs)]
-
-    def provider(epoch: int, index: int):
-        chosen = epoch_orders[epoch][index * stage.batch_size:
-                                     (index + 1) * stage.batch_size]
-        return make_qa_batch([pairs[i] for i in chosen], sequences, tasks,
-                             codec, tokenizer, config)
-
+    n_batches = max(1, len(pairs) // config.train.batch_size)
     set_lora_training(model.lm, True)
-    params = model.trainable_parameters()
-    _, curve = run_training(lambda b: qa_loss(model, b), params, stage,
-                            n_batches, provider, config.optimizer)
+    optimizer = adamw_from_config(model.trainable_parameters(),
+                                  config.optimizer)
+    curve = run_training(
+        lambda batch: qa_loss(model, batch), optimizer, config, "train",
+        pairs, n_batches,
+        lambda chosen: make_qa_batch(chosen, sequences, tasks, codec,
+                                     tokenizer, config))
     set_lora_training(model.lm, False)
 
     base_hash_after = _hash_named(model.lm, base_frozen_names)
@@ -625,35 +568,25 @@ def train_stage(config: ExperimentConfig, train: Dataset, val: Dataset,
     # answer-format validity on the validation split (trained tasks)
     parse_stats = _parseable_rate(model, val, trained_tasks, codec, config)
 
-    all_params = model.parameters()
-    tensors = {name: p.data for name, p in all_params.items()}
-    sidecar = {
-        "stage": "train",
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "config": config.to_json(),
-        "tokenizer": tokenizer.to_json(),
-        "manifest": {
-            "trained_tasks": sorted(t.task_id for t in trained_tasks),
-            "held_out_tasks": sorted(config.held_out_tasks),
-        },
-        "frozen": base_frozen_names,
-        "lora_report": {k: v for k, v in lora_report.items()
-                        if k != "adapted_matrices"},
-        "final_loss": curve[-1][2] if curve else None,
-        "val_parseable_rate": parse_stats["rate"],
-        "schedule": stage.schedule(stage.epochs * n_batches).to_json(),
-    }
+    final_loss = curve[-1][2] if curve else None
     codec.save(out / "codec.json")
-    save_checkpoint(out / "pipeline", tensors, sidecar)
-    atomic_write_text(out / "train_loss.csv", curve_to_csv(curve))
-    return {"final_loss": curve[-1][2] if curve else None,
+    checkpoint = _save_stage(
+        out, "train", config, n_batches,
+        {name: p.data for name, p in model.parameters().items()}, curve,
+        config=config.to_json(), tokenizer=tokenizer.to_json(),
+        manifest={"trained_tasks": sorted(t.task_id for t in trained_tasks),
+                  "held_out_tasks": sorted(config.held_out_tasks)},
+        frozen=base_frozen_names,
+        lora_report={k: v for k, v in lora_report.items()
+                     if k != "adapted_matrices"},
+        final_loss=final_loss, val_parseable_rate=parse_stats["rate"])
+    return {"final_loss": final_loss,
             "val_parseable_rate": parse_stats["rate"],
             "frozen_hash_before": base_hash_before,
             "frozen_hash_after": base_hash_after,
             "frozen_base_unchanged": base_hash_after == base_hash_before,
             "lora_report": lora_report,
-            "checkpoint": str(out / "pipeline")}
+            "checkpoint": str(checkpoint)}
 
 
 def _hash_named(module: nn.Module, names: list[str]) -> str:
@@ -748,7 +681,7 @@ def load_pipeline(out_dir: str | Path) -> tuple[PipelineModel, ExperimentConfig,
     apply_lora(model.lm, config.lora,
                np.random.default_rng(derived_seed(config.seed, "lora")))
     set_lora_training(model.lm, False)
-    load_params(model, tensors)
+    load_params(model.parameters(), tensors)
     return model, config, codec, sidecar
 
 

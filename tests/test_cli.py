@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,10 @@ def test_full_cli_workflow(config_path, tmp_path, capsys):
 @pytest.mark.parametrize("command,override,named", [
     ("generate-data", "encoder.bogus=1", ["'encoder'", "bogus"]),
     ("pretrain-encoder", "pretrain.epochs=oops", ["'pretrain'", "epochs"]),
+    ("generate-data", "generator.bogus=1", ["'generator'", "bogus"]),
+    ("generate-data", "generator.n_clients=oops",
+     ["'generator'", "GeneratorConfig"]),
+    ("generate-data", "encoder.dropout=0.7", ["'encoder'", "dropout"]),
 ])
 def test_bad_nested_config_value_exits_2(config_path, tmp_path, capsys,
                                          command, override, named):
@@ -104,6 +109,49 @@ def test_bad_nested_config_value_exits_2(config_path, tmp_path, capsys,
     assert "config error" in err
     for word in named:
         assert word in err
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained") / "run"
+    run_all_stages(tiny_experiment(), out)
+    return out
+
+
+def corrupt_truncate(raw: bytes) -> bytes:
+    return raw[:len(raw) // 2]
+
+
+def corrupt_flip_name_length(raw: bytes) -> bytes:
+    return bytes([raw[0] ^ 0x40]) + raw[1:]
+
+
+# the checkpoint loads before the sequence file is opened
+CHECKPOINT_READERS = pytest.mark.parametrize("argv", [
+    ["eval"], ["ask", "--sequence", "unused.jsonl", "--question", "Any?"]],
+    ids=["eval", "ask"])
+
+
+@CHECKPOINT_READERS
+@pytest.mark.parametrize("corrupt", [corrupt_truncate,
+                                     corrupt_flip_name_length])
+def test_corrupt_checkpoint_exits_3(trained_run, tmp_path, capsys, argv,
+                                    corrupt):
+    out = tmp_path / "run"
+    shutil.copytree(trained_run, out)
+    path = out / "pipeline.bin"
+    path.write_bytes(corrupt(path.read_bytes()))
+    assert cli_main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "pipeline.bin" in err
+    assert "Traceback" not in err
+
+
+@CHECKPOINT_READERS
+def test_empty_checkpoint_dir_exits_3(tmp_path, capsys, argv):
+    assert cli_main(argv + ["--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "pipeline." in err
 
 
 def test_eval_loads_the_checkpoint_once(tmp_path, monkeypatch):

@@ -72,8 +72,8 @@ class TestAdamW:
     def test_moment_shapes_match_parameters(self):
         p = make_param(np.ones((3, 4)))
         opt = AdamW({"p": p})
-        assert opt.state.m[0].shape == (3, 4)
-        assert opt.state.v[0].shape == (3, 4)
+        assert opt.state.m["p"].shape == (3, 4)
+        assert opt.state.v["p"].shape == (3, 4)
 
     def test_clip_grad_norm(self):
         p = make_param(np.zeros(4))

@@ -1,7 +1,9 @@
 """Staged pipeline and CLI: determinism, stage isolation, protocol guards."""
 
+import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +16,12 @@ from eventqa.encoder import EncoderConfig
 from eventqa.errors import ConfigError
 from eventqa.lm import LoraConfig, ToyLmConfig
 from eventqa.pipeline import (ExperimentConfig, StageSchedule, ask,
-                              evaluate_stage, fit_codec_stage, generate_data,
-                              load_pipeline, load_splits, match_question,
-                              pretrain_encoder_stage, run_inference,
-                              train_stage, warmup_lm_stage)
-from eventqa.qa import build_tasks
+                              build_tokenizer, evaluate_stage, fit_codec_stage,
+                              generate_data, load_pipeline, load_splits,
+                              match_question, pretrain_encoder_stage,
+                              run_inference, train_stage, warmup_corpus,
+                              warmup_lm_stage)
+from eventqa.qa import build_corpus, build_tasks, derived_seed
 
 
 def tiny_experiment(seed=11, **kw):
@@ -93,6 +96,33 @@ class TestStages:
         lines = (out / "pretrain_loss.csv").read_text().splitlines()
         assert lines[0] == "step,lr,loss"
         assert len(lines) > 1
+
+    def test_every_stage_takes_epochs_times_batches_steps(self, trained,
+                                                          tmp_path):
+        cfg, out, train, val, codec = trained[:5]
+        usable = [s for s in train.sequences if len(s) >= 2]
+        trained_tasks = [t for t in cfg.built_tasks()
+                         if t.task_id in cfg.trained_task_ids()]
+        pairs = build_corpus(train, trained_tasks, codec,
+                             derived_seed(cfg.seed, "corpus"), cfg.prefix,
+                             cfg.min_seq_len, cfg.max_seq_len)
+        items = warmup_corpus(build_tokenizer(cfg, codec), cfg.prefix)
+        # batches of 7 leave a partial last batch in every stage
+        cfg7 = tiny_experiment(**{key: StageSchedule(
+            epochs=2, batch_size=7, peak_lr=3e-3, warmup_steps=4)
+            for key in ("pretrain", "warmup", "train")})
+        run_all_stages(cfg7, tmp_path)
+        assert len(usable) % 7 and len(pairs) % 7 and len(items) % 7
+        for c, run in ((cfg, out), (cfg7, tmp_path)):
+            expected = {  # pretraining and training round down, warm-up up
+                "pretrain": len(usable) // c.pretrain.batch_size,
+                "train": len(pairs) // c.train.batch_size,
+                "warmup": math.ceil(len(items) / c.warmup.batch_size)}
+            for key, n_batches in expected.items():
+                with (run / f"{key}_loss.csv").open() as fh:
+                    steps = [int(row[0]) for row in list(csv.reader(fh))[1:]]
+                epochs = getattr(c, key).epochs
+                assert steps == list(range(epochs * n_batches)), (run, key)
 
     def test_frozen_base_untouched(self, trained):
         info = trained[7]
@@ -253,6 +283,23 @@ class TestPretrainBehavior:
         assert info_b["steps"] == info_c["steps"]
         sidecar = json.loads((out_resumed / "encoder.json").read_text())
         assert sidecar["step"] == info_c["steps"]
+
+    def test_resume_is_exact(self, tmp_path):
+        # min_lr == peak_lr and a fixed cycle make the schedule independent
+        # of the run length, so resuming must replay the direct run exactly
+        def config(epochs):
+            return tiny_experiment(pretrain=StageSchedule(
+                epochs=epochs, batch_size=8, peak_lr=3e-3, min_lr=3e-3,
+                warmup_steps=2, cycle_length=5))
+        _, train, _ = load_splits(config(1))
+        codec = fit_codec_stage(config(1), train)
+        resumed, direct = tmp_path / "resumed", tmp_path / "direct"
+        pretrain_encoder_stage(config(1), train, codec, resumed)
+        pretrain_encoder_stage(config(3), train, codec, resumed, resume=True)
+        pretrain_encoder_stage(config(3), train, codec, direct)
+        for name in ("encoder.bin", "encoder.json", "pretrain_loss.csv"):
+            assert (resumed / name).read_bytes() == \
+                (direct / name).read_bytes(), name
 
     def test_resume_rejects_other_encoder_config(self, tmp_path):
         cfg = tiny_experiment()
