@@ -110,7 +110,19 @@ def save_sidecar(path: str | Path, payload: dict) -> None:
     atomic_write_text(Path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def load_sidecar(path: str | Path) -> dict:
+class Sidecar(dict):
+    """A checkpoint sidecar; indexing a key it lacks raises DataError naming
+    the file and the key."""
+
+    def __init__(self, path: Path, payload: dict):
+        super().__init__(payload)
+        self.path = path
+
+    def __missing__(self, key):
+        raise DataError(f"checkpoint sidecar {self.path} has no {key!r} entry")
+
+
+def load_sidecar(path: str | Path) -> Sidecar:
     path = Path(path)
     try:
         sidecar = json.loads(path.read_text())
@@ -118,7 +130,7 @@ def load_sidecar(path: str | Path) -> dict:
         raise DataError(f"cannot read checkpoint sidecar {path}: {e}") from None
     if not isinstance(sidecar, dict):
         raise DataError(f"checkpoint sidecar {path} is not a JSON object")
-    return sidecar
+    return Sidecar(path, sidecar)
 
 
 def save_checkpoint(base_path: str | Path, tensors: dict[str, np.ndarray],

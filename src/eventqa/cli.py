@@ -16,11 +16,10 @@ from pathlib import Path
 from .checkpoint import atomic_write_text, load_sidecar
 from .codec import DatasetCodec
 from .errors import ConfigError, DataError, DivergenceError
-from .metrics import score_task, statistical_baseline
+from .metrics import score_baselines
 from .pipeline import (ExperimentConfig, ask, evaluate_stage, fit_codec_stage,
                        generate_data, load_splits, pretrain_encoder_stage,
                        train_stage, warmup_lm_stage)
-from .qa import build_corpus, derived_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -165,23 +164,18 @@ def cmd_baseline(args) -> int:
         tasks = [t for t in tasks if t.task_id in wanted]
         if not tasks:
             raise ConfigError(f"no tasks match {sorted(wanted)}")
-    seed = derived_seed(config.seed, "corpus")
-    pairs = build_corpus(val, tasks, codec, seed, config.prefix,
-                         config.min_seq_len, config.max_seq_len)
-    rows = []
+    val_pairs = config.corpus(val, tasks, codec)
     for task in tasks:
-        predictors = statistical_baseline(task, train, codec, seed=seed)
-        truths = [p.truth for p in pairs if p.task_id == task.task_id]
+        truths = [p.truth for p in val_pairs if p.task_id == task.task_id]
         if not truths:
             continue
-        for kind, predictor in predictors.items():
-            preds = [predictor.predict(None) for _ in truths]
-            metrics, _ = score_task(task, preds, truths, None)
+        train_truths = [p.truth for p in config.corpus(train, [task], codec)]
+        for kind, metrics in score_baselines(task, train_truths,
+                                             truths).items():
             for name, value in sorted(metrics.items()):
                 if value is not None:
-                    rows.append((task.task_id, kind, name, value))
-    for task_id, kind, name, value in rows:
-        print(f"{task_id:24s} {kind:8s} {name:10s} {value:.4f}")
+                    print(f"{task.task_id:24s} {kind:8s} {name:10s} "
+                          f"{value:.4f}")
     return EXIT_OK
 
 

@@ -55,32 +55,6 @@ class ConnectorConfig(JsonConfig):
         return index % p == p - 1
 
 
-class _ConnectorBlock(nn.Module):
-    def __init__(self, config: ConnectorConfig, cross: bool,
-                 rng: np.random.Generator):
-        super().__init__()
-        self.has_cross = cross
-        self.ln_self = nn.LayerNorm(config.d_model)
-        self.self_attn = nn.MultiHeadAttention(config.d_model, config.heads, rng)
-        if cross:
-            self.ln_cross = nn.LayerNorm(config.d_model)
-            self.cross_attn = nn.MultiHeadAttention(
-                config.d_model, config.heads, rng, kv_dim=config.d_enc)
-        self.ln_ff = nn.LayerNorm(config.d_model)
-        self.ff = nn.FeedForward(config.d_model, 2 * config.d_model, rng)
-
-    def __call__(self, x: Tensor, enc_out: Tensor,
-                 cross_mask: np.ndarray | None,
-                 key_bias: Tensor | None) -> Tensor:
-        h = self.ln_self(x)
-        x = ad.add(x, self.self_attn(h, h))
-        if self.has_cross:
-            x = ad.add(x, self.cross_attn(self.ln_cross(x), enc_out,
-                                          mask=cross_mask, key_bias=key_bias))
-        x = ad.add(x, self.ff(self.ln_ff(x)))
-        return x
-
-
 class Connector(nn.Module):
     def __init__(self, config: ConnectorConfig, rng: np.random.Generator):
         super().__init__()
@@ -89,7 +63,9 @@ class Connector(nn.Module):
                                 scale=1.0 / np.sqrt(config.d_model))
         self.recency = nn.Embedding(config.max_events, config.d_model, rng)
         self.blocks = nn.ModuleList([
-            _ConnectorBlock(config, config._has_cross(i), rng)
+            nn.TransformerBlock(
+                config.d_model, config.heads, 2 * config.d_model, rng,
+                kv_dim=config.d_enc if config._has_cross(i) else None)
             for i in range(config.layers)])
         self.ln_f = nn.LayerNorm(config.d_model)
         self.proj = nn.Linear(config.d_model, config.d_out, rng)
@@ -127,7 +103,7 @@ class Connector(nn.Module):
         x = ad.add(ad.reshape(self.queries, (1,) + self.queries.shape),
                    Tensor(np.zeros((b, 1, 1))))
         for block in self.blocks:
-            x = block(x, enc_out, cross_mask, key_bias)
+            x = block(x, kv=enc_out, kv_mask=cross_mask, key_bias=key_bias)
         return self.proj(self.ln_f(x))
 
     def connect(self, enc_out: Tensor) -> Tensor:

@@ -427,10 +427,8 @@ def evaluate_target_rule(rule: dict, seq: EventSequence) -> int:
     raise ConfigError(f"unknown target rule {rule['type']!r}")
 
 
-def _schema_from_config(config: GeneratorConfig) -> tuple[Schema, dict]:
-    """Schema plus the concrete per-feature rule parameters (provenance)."""
+def _schema_from_config(config: GeneratorConfig) -> Schema:
     features: list[FeatureSpec] = []
-    derived: dict = {}
     for f in config.features:
         kind = f["kind"]
         if kind == CATEGORICAL:
@@ -447,7 +445,7 @@ def _schema_from_config(config: GeneratorConfig) -> tuple[Schema, dict]:
     for d in config.time_derived:
         features.append(FeatureSpec(
             d, TIME_DERIVED, values=tuple(time_feature_values(d)), derive=d))
-    return Schema(tuple(features)), derived
+    return Schema(tuple(features))
 
 
 def generate_synthetic(config: GeneratorConfig,
@@ -459,9 +457,8 @@ def generate_synthetic(config: GeneratorConfig,
     parameters, the Markov transition matrix), so any target or next-event
     distribution can be recomputed from the raw events.
     """
-    schema, _ = _schema_from_config(config)
+    schema = _schema_from_config(config)
     rng = np.random.default_rng(seed)
-    provenance: dict = {"seed": seed, "config": config.to_json(), "rules": {}}
 
     # concrete rule parameters, drawn before any client data
     feature_params: dict[str, dict] = {}
@@ -482,15 +479,10 @@ def generate_synthetic(config: GeneratorConfig,
                         matrix[j, successor[j]] = peak
                 feature_params[name] = {"type": "markov", "values": values,
                                         "matrix": matrix}
-                provenance["rules"][name] = {
-                    "type": "markov", "values": values,
-                    "matrix": matrix.tolist()}
             else:
                 alpha = float(rule.get("alpha", 0.5))
                 feature_params[name] = {"type": "client_dirichlet",
                                         "values": values, "alpha": alpha}
-                provenance["rules"][name] = {"type": "client_dirichlet",
-                                             "values": values, "alpha": alpha}
         elif f["kind"] == REAL and rtype == "lognormal_by_category":
             of = rule["of"]
             k = len(schema.feature(of).values)
@@ -498,19 +490,14 @@ def generate_synthetic(config: GeneratorConfig,
                               size=k)
             feature_params[name] = {"type": "lognormal_by_category", "of": of,
                                     "mus": mus, "sigma": float(rule.get("sigma", 0.4))}
-            provenance["rules"][name] = {
-                "type": "lognormal_by_category", "of": of,
-                "mus": mus.tolist(), "sigma": float(rule.get("sigma", 0.4))}
         elif f["kind"] == REAL:
             feature_params[name] = {"type": "lognormal",
                                     "mu": float(rule.get("mu", 0.0)),
                                     "sigma": float(rule.get("sigma", 1.0))}
-            provenance["rules"][name] = dict(feature_params[name])
         elif f["kind"] == INTEGER:
             feature_params[name] = {"type": "randint",
                                     "low": int(rule.get("low", 0)),
                                     "high": int(rule.get("high", 100))}
-            provenance["rules"][name] = dict(feature_params[name])
 
     width = len(str(max(config.n_clients - 1, 1)))
     sequences = []
@@ -561,4 +548,8 @@ def generate_synthetic(config: GeneratorConfig,
             seq.targets[target["name"]] = evaluate_target_rule(target["rule"], seq)
         sequences.append(seq)
 
+    rules = {name: {k: v.tolist() if isinstance(v, np.ndarray) else v
+                    for k, v in params.items()}
+             for name, params in feature_params.items()}
+    provenance = {"seed": seed, "config": config.to_json(), "rules": rules}
     return Dataset(schema, sequences, split="train"), provenance

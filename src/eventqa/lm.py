@@ -126,9 +126,9 @@ class ToyLmConfig(JsonConfig):
 
 @dataclass
 class LoraConfig(JsonConfig):
-    rank: int = 16
+    rank: int = 4
     alpha: float = 32.0
-    dropout: float = 0.05
+    dropout: float = 0.0
 
 
 def pad_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -165,26 +165,6 @@ class MultimodalInput:
                 + self.body_ids.shape[1])
 
 
-class _DecoderBlock(nn.Module):
-    def __init__(self, d_model: int, heads: int, d_ff: int,
-                 rng: np.random.Generator):
-        super().__init__()
-        self.ln_self = nn.LayerNorm(d_model)
-        self.self_attn = nn.MultiHeadAttention(d_model, heads, rng)
-        self.ln_cross = nn.LayerNorm(d_model)
-        self.cross_attn = nn.MultiHeadAttention(d_model, heads, rng)
-        self.ln_ff = nn.LayerNorm(d_model)
-        self.ff = nn.FeedForward(d_model, d_ff, rng)
-
-    def __call__(self, x: Tensor, enc_out: Tensor, self_mask: np.ndarray,
-                 cross_mask: np.ndarray | None) -> Tensor:
-        h = self.ln_self(x)
-        x = ad.add(x, self.self_attn(h, h, mask=self_mask))
-        x = ad.add(x, self.cross_attn(self.ln_cross(x), enc_out, mask=cross_mask))
-        x = ad.add(x, self.ff(self.ln_ff(x)))
-        return x
-
-
 class ToyLm(nn.Module):
     """Encoder-decoder transformer over the closed answer vocabulary."""
 
@@ -205,7 +185,7 @@ class ToyLm(nn.Module):
             for _ in range(config.enc_layers)])
         self.enc_ln = nn.LayerNorm(d)
         self.dec_blocks = nn.ModuleList([
-            _DecoderBlock(d, config.heads, config.d_ff, rng)
+            nn.TransformerBlock(d, config.heads, config.d_ff, rng, kv_dim=d)
             for _ in range(config.dec_layers)])
         self.dec_ln = nn.LayerNorm(d)
         self.lm_head = nn.Linear(d, tokenizer.size, rng)
@@ -270,7 +250,7 @@ class ToyLm(nn.Module):
         self_mask = nn.causal_mask(t)
         cross_mask = nn.padding_mask(enc_valid)
         for block in self.dec_blocks:
-            x = block(x, enc_out, self_mask, cross_mask)
+            x = block(x, mask=self_mask, kv=enc_out, kv_mask=cross_mask)
         return self.lm_head(self.dec_ln(x))
 
     def answer_loss(self, mm: MultimodalInput, answer_ids: np.ndarray,

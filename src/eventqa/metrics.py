@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import DatasetCodec
-from .data import Dataset
 from .errors import ConfigError, DataError
-from .qa import (T_BINARY, T_CATEGORY, T_COUNT, T_NUMBER, QATask,
-                 Unparseable, ground_truth, render_question)
+from .qa import T_BINARY, T_CATEGORY, T_COUNT, T_NUMBER, QATask, Unparseable
 
 
 def accuracy(preds: list, truths: list) -> float:
@@ -106,43 +104,24 @@ def roc_auc(scores: list, labels: list) -> float:
 # statistical baselines (fitted on the train split only)
 
 
-@dataclass(frozen=True)
-class BaselinePredictor:
-    """Constant predictor: the train-split mode, mean, or median answer."""
-
-    kind: str
-    value: object
-
-    def predict(self, _seq=None):
-        return self.value
-
-
-def statistical_baseline(task: QATask, train: Dataset, codec: DatasetCodec,
-                         seed: int = 0) -> dict[str, BaselinePredictor]:
-    """Mode predictor for categorical/binary tasks, mean and median for
-    numeric ones, fitted on the task's train-split ground truths."""
-    if not train.sequences:
-        raise DataError("cannot fit a baseline on an empty training split")
-    truths = []
-    for seq in train.sequences:
-        if task.holdout_last and len(seq) < 2:
-            continue
-        try:
-            _, _, slots = render_question(task, seq, seed, codec)
-            truths.append(ground_truth(task, seq, codec, slots))
-        except DataError:
-            continue
+def statistical_baseline(task: QATask, truths: list) -> dict:
+    """Constant answers fitted on a task's training truths: the mode for
+    categorical/binary tasks, the mean and the median for numeric ones."""
     if not truths:
         raise DataError(f"no training truths for task {task.task_id!r}")
     if task.truth_type in (T_CATEGORY, T_BINARY):
-        counts: dict = {}
-        for t in truths:
-            counts[t] = counts.get(t, 0) + 1
-        mode = max(sorted(counts, key=repr), key=lambda v: counts[v])
-        return {"mode": BaselinePredictor("mode", mode)}
+        counts = Counter(truths)
+        return {"mode": max(sorted(counts, key=repr), key=lambda v: counts[v])}
     values = np.asarray([float(t) for t in truths])
-    return {"mean": BaselinePredictor("mean", float(values.mean())),
-            "median": BaselinePredictor("median", float(np.median(values)))}
+    return {"mean": float(values.mean()), "median": float(np.median(values))}
+
+
+def score_baselines(task: QATask, train_truths: list,
+                    truths: list) -> dict[str, dict]:
+    """Baseline kind -> ``score_task`` metrics of answering every one of
+    ``truths`` with that kind's constant fitted on ``train_truths``."""
+    return {kind: score_task(task, [value] * len(truths), truths)[0]
+            for kind, value in statistical_baseline(task, train_truths).items()}
 
 
 # ---------------------------------------------------------------------------

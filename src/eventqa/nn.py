@@ -230,18 +230,30 @@ class FeedForward(Module):
 
 
 class TransformerBlock(Module):
-    """Pre-norm block: self-attention then FFN, each with a residual."""
+    """Pre-norm block: self-attention, then cross-attention into a
+    ``kv_dim``-wide sequence when ``kv_dim`` is given, then FFN, each with a
+    residual."""
 
     def __init__(self, d_model: int, heads: int, d_ff: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, kv_dim: int | None = None):
         super().__init__()
+        self.has_cross = kv_dim is not None
         self.ln1 = LayerNorm(d_model)
         self.attn = MultiHeadAttention(d_model, heads, rng)
+        if self.has_cross:
+            self.ln_cross = LayerNorm(d_model)
+            self.cross_attn = MultiHeadAttention(d_model, heads, rng,
+                                                 kv_dim=kv_dim)
         self.ln2 = LayerNorm(d_model)
         self.ff = FeedForward(d_model, d_ff, rng)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None,
+                 kv: Tensor | None = None, kv_mask: np.ndarray | None = None,
+                 key_bias: Tensor | None = None) -> Tensor:
         h = self.ln1(x)
         x = ad.add(x, self.attn(h, h, mask=mask))
+        if self.has_cross:
+            x = ad.add(x, self.cross_attn(self.ln_cross(x), kv, mask=kv_mask,
+                                          key_bias=key_bias))
         x = ad.add(x, self.ff(self.ln2(x)))
         return x

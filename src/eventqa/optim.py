@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import JsonConfig
+from .errors import ConfigError, JsonConfig
 
 
 @dataclass
@@ -29,11 +29,11 @@ class LrSchedule(JsonConfig):
 
     def __post_init__(self):
         if self.min_lr < 0 or self.peak_lr < self.min_lr:
-            raise ValueError("need peak_lr >= min_lr >= 0")
+            raise ConfigError("need peak_lr >= min_lr >= 0")
         if self.warmup_steps < 0 or self.cycle_length < 1:
-            raise ValueError("warmup_steps >= 0 and cycle_length >= 1 required")
+            raise ConfigError("warmup_steps >= 0 and cycle_length >= 1 required")
         if self.restart_multiplier < 1.0:
-            raise ValueError("restart_multiplier must be >= 1.0")
+            raise ConfigError("restart_multiplier must be >= 1.0")
 
     def lr_at(self, step: int) -> float:
         if step < 0:
@@ -51,13 +51,21 @@ class LrSchedule(JsonConfig):
 
 
 @dataclass
+class OptimizerConfig(JsonConfig):
+    """AdamW hyperparameters plus the global gradient-norm clip (0 turns
+    clipping off)."""
+
+    beta1: float = 0.9
+    beta2: float = 0.98
+    eps: float = 1e-8
+    weight_decay: float = 0.01
+    clip_norm: float = 1.0
+
+
+@dataclass
 class OptimizerState:
     """Adam moments keyed by parameter name plus the shared step counter."""
 
-    beta1: float
-    beta2: float
-    eps: float
-    weight_decay: float
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -72,12 +80,11 @@ class AdamW:
     error.
     """
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.98, eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+    def __init__(self, params: dict[str, Tensor],
+                 config: OptimizerConfig | None = None):
         self.params = dict(params)
-        self.state = OptimizerState(beta1=beta1, beta2=beta2, eps=eps,
-                                    weight_decay=weight_decay)
+        self.config = config if config is not None else OptimizerConfig()
+        self.state = OptimizerState()
         for name, p in self.params.items():
             self.state.m[name] = np.zeros_like(p.data)
             self.state.v[name] = np.zeros_like(p.data)
@@ -101,28 +108,28 @@ class AdamW:
         return norm
 
     def step(self, lr: float) -> None:
-        s = self.state
+        s, c = self.state, self.config
         s.t += 1
-        bc1 = 1.0 - s.beta1 ** s.t
-        bc2 = 1.0 - s.beta2 ** s.t
+        bc1 = 1.0 - c.beta1 ** s.t
+        bc2 = 1.0 - c.beta2 ** s.t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ValueError(
                     f"gradient shape {g.shape} does not match parameter "
                     f"shape {p.data.shape}")
-            s.m[name] = s.beta1 * s.m[name] + (1.0 - s.beta1) * g
-            s.v[name] = s.beta2 * s.v[name] + (1.0 - s.beta2) * (g * g)
+            s.m[name] = c.beta1 * s.m[name] + (1.0 - c.beta1) * g
+            s.v[name] = c.beta2 * s.v[name] + (1.0 - c.beta2) * (g * g)
             m_hat = s.m[name] / bc1
             v_hat = s.v[name] / bc2
-            if s.weight_decay != 0.0:
-                p.data -= lr * s.weight_decay * p.data
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + s.eps)
+            if c.weight_decay != 0.0:
+                p.data -= lr * c.weight_decay * p.data
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + c.eps)
 
     def hyperparams(self) -> dict:
-        s = self.state
-        return {"beta1": s.beta1, "beta2": s.beta2, "eps": s.eps,
-                "weight_decay": s.weight_decay, "t": s.t}
+        c = self.config
+        return {"beta1": c.beta1, "beta2": c.beta2, "eps": c.eps,
+                "weight_decay": c.weight_decay, "t": self.state.t}
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Moment arrays keyed for checkpointing (resume support)."""

@@ -23,7 +23,7 @@ import io
 import json
 import math
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,16 +32,17 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .checkpoint import atomic_write_text, load_checkpoint, save_checkpoint
-from .codec import DatasetCodec, EventEmbedder
+from .codec import DEFAULT_INTEGER_VOCAB_CAP, DatasetCodec, EventEmbedder
 from .connector import Connector, ConnectorConfig
 from .data import (Dataset, EventSequence, GeneratorConfig, Schema,
                    generate_synthetic, load_jsonl, save_jsonl, split_by_client)
 from .encoder import EncoderConfig, EventEncoder, NextEventHeads, next_event_loss
-from .errors import ConfigError, DataError, DivergenceError, JsonConfig
+from .errors import (ConfigError, DataError, DivergenceError, JsonConfig,
+                     config_from_json)
 from .lm import (EOS, LoraConfig, Tokenizer, ToyLm, ToyLmConfig, apply_lora,
                  pad_rows, set_lora_training)
-from .metrics import EvalReport, TaskResult, score_task, statistical_baseline
-from .optim import AdamW, LrSchedule
+from .metrics import EvalReport, TaskResult, score_baselines, score_task
+from .optim import AdamW, LrSchedule, OptimizerConfig
 from .qa import (DEFAULT_PREFIX, QAPair, QATask, T_BINARY, Unparseable,
                  admit_sequence, build_corpus, build_tasks,
                  corpus_word_inventory, derived_seed, format_body,
@@ -59,10 +60,9 @@ class StageSchedule(JsonConfig):
     restart_multiplier: float = 1.0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "warmup_steps"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        self.schedule(1)  # raises ConfigError for a bad rate schedule
 
     def schedule(self, total_steps: int) -> LrSchedule:
         cycle = self.cycle_length or max(total_steps - self.warmup_steps, 1)
@@ -81,15 +81,13 @@ class ExperimentConfig(JsonConfig):
     val_fraction: float = 0.1
     min_seq_len: int = 2
     max_seq_len: int = 32
-    integer_vocab_cap: int = 1000
+    integer_vocab_cap: int = DEFAULT_INTEGER_VOCAB_CAP
     prefix: str = DEFAULT_PREFIX
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     connector: ConnectorConfig = field(default_factory=ConnectorConfig)
     lm: ToyLmConfig = field(default_factory=ToyLmConfig)
-    lora: LoraConfig = field(default_factory=lambda: LoraConfig(rank=4, dropout=0.0))
-    optimizer: dict = field(default_factory=lambda: {
-        "beta1": 0.9, "beta2": 0.98, "eps": 1e-8, "weight_decay": 0.01,
-        "clip_norm": 1.0})
+    lora: LoraConfig = field(default_factory=LoraConfig)
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     pretrain: StageSchedule = field(default_factory=StageSchedule)
     warmup: StageSchedule = field(default_factory=lambda: StageSchedule(
         epochs=30, batch_size=32, peak_lr=3e-3, warmup_steps=20))
@@ -125,24 +123,12 @@ class ExperimentConfig(JsonConfig):
 
     @classmethod
     def from_json(cls, d: dict) -> "ExperimentConfig":
-        """Fields absent from ``d`` keep their defaults; unknown top-level
-        keys are ignored, unknown keys inside a section are rejected."""
-        kwargs = {}
-        try:
-            for f in fields(cls):
-                if f.name in d:
-                    read = _SECTIONS.get(f.name)
-                    try:
-                        kwargs[f.name] = read(d[f.name]) if read else d[f.name]
-                    except ConfigError as e:
-                        raise ConfigError(
-                            f"config section {f.name!r}: {e}") from None
-                elif f.default is MISSING and f.default_factory is MISSING:
-                    raise KeyError(f.name)
-            return cls(**kwargs)
-        except KeyError as e:
-            raise ConfigError(f"experiment config missing field {e.args[0]!r}") \
-                from None
+        """Fields absent from ``d`` keep their defaults, and a section names
+        only the keys it changes; unknown top-level keys are ignored, unknown
+        keys inside a section are rejected."""
+        names = {f.name for f in fields(cls)}
+        return config_from_json(cls, {k: v for k, v in d.items() if k in names}
+                                if isinstance(d, dict) else d)
 
     def config_hash(self) -> str:
         """Hash of the configuration without the seed (seeds vary per run)."""
@@ -154,18 +140,18 @@ class ExperimentConfig(JsonConfig):
     def built_tasks(self) -> list[QATask]:
         return build_tasks(self.tasks)
 
+    def corpus(self, dataset: Dataset, tasks: list[QATask],
+               codec: DatasetCodec, seed: int | None = None) -> list[QAPair]:
+        """``build_corpus`` with this config's corpus seed (derived from
+        ``seed`` when given), prefix and length policy."""
+        return build_corpus(
+            dataset, tasks, codec,
+            derived_seed(self.seed if seed is None else seed, "corpus"),
+            self.prefix, self.min_seq_len, self.max_seq_len)
+
     def trained_task_ids(self) -> list[str]:
         return [t["id"] for t in self.tasks
                 if t["id"] not in self.held_out_tasks]
-
-
-# nested sections of ExperimentConfig and the reader of each
-_SECTIONS = {
-    "generator": GeneratorConfig.from_json, "encoder": EncoderConfig.from_json,
-    "connector": ConnectorConfig.from_json, "lm": ToyLmConfig.from_json,
-    "lora": LoraConfig.from_json, "pretrain": StageSchedule.from_json,
-    "warmup": StageSchedule.from_json, "train": StageSchedule.from_json,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +251,6 @@ def _chunks(items: list, size: int):
 # the training-stage driver
 
 
-def adamw_from_config(params: dict[str, Tensor], optimizer_cfg: dict) -> AdamW:
-    """AdamW with the config's hyperparameters; absent keys keep AdamW's
-    defaults and keys AdamW does not take (``clip_norm``) are ignored."""
-    return AdamW(params, **{k: v for k, v in optimizer_cfg.items()
-                            if k in ("beta1", "beta2", "eps", "weight_decay")})
-
-
 def run_training(loss_fn, optimizer: AdamW, config: ExperimentConfig,
                  key: str, items: list, n_batches: int, make_batch
                  ) -> list[tuple[int, float, float]]:
@@ -287,7 +266,6 @@ def run_training(loss_fn, optimizer: AdamW, config: ExperimentConfig,
     stage = getattr(config, key)
     total_steps = stage.epochs * n_batches
     schedule = stage.schedule(total_steps)
-    clip = config.optimizer.get("clip_norm", 0.0)
     order_rng = np.random.default_rng(derived_seed(config.seed, f"{key}-order"))
     orders = [order_rng.permutation(len(items)) for _ in range(stage.epochs)]
     size = stage.batch_size
@@ -302,8 +280,8 @@ def run_training(loss_fn, optimizer: AdamW, config: ExperimentConfig,
         if not math.isfinite(value):
             raise DivergenceError(step, value)
         ad.backward(loss)
-        if clip:
-            optimizer.clip_grad_norm(clip)
+        if config.optimizer.clip_norm:
+            optimizer.clip_grad_norm(config.optimizer.clip_norm)
         lr = schedule.lr_at(step)
         optimizer.step(lr)
         curve.append((step, lr, value))
@@ -408,7 +386,7 @@ def pretrain_encoder_stage(config: ExperimentConfig, train: Dataset,
 
     params = {**embedder.parameters("embedder."),
               **encoder.parameters("encoder."), **heads.parameters("heads.")}
-    optimizer = adamw_from_config(params, config.optimizer)
+    optimizer = AdamW(params, config.optimizer)
     curve: list[tuple[int, float, float]] = []
     if resume:
         tensors, sidecar = load_checkpoint(out / "encoder")
@@ -491,7 +469,7 @@ def warmup_lm_stage(config: ExperimentConfig, codec: DatasetCodec,
         return lm.answer_loss(mm, answer_ids, answer_valid)
 
     params = lm.parameters("lm.")
-    curve = run_training(loss_fn, adamw_from_config(params, config.optimizer),
+    curve = run_training(loss_fn, AdamW(params, config.optimizer),
                          config, "warmup", items, n_batches, make_batch)
     final_loss = curve[-1][2] if curve else None
     checkpoint = _save_stage(
@@ -543,16 +521,13 @@ def train_stage(config: ExperimentConfig, train: Dataset, val: Dataset,
         raise ConfigError("no tasks remain after removing the held-out set")
 
     sequences = {s.client_id: s for s in train.sequences}
-    pairs = build_corpus(train, trained_tasks, codec,
-                         derived_seed(config.seed, "corpus"), config.prefix,
-                         config.min_seq_len, config.max_seq_len)
+    pairs = config.corpus(train, trained_tasks, codec)
     if not pairs:
         raise DataError("no usable training pairs under the length policy")
 
     n_batches = max(1, len(pairs) // config.train.batch_size)
     set_lora_training(model.lm, True)
-    optimizer = adamw_from_config(model.trainable_parameters(),
-                                  config.optimizer)
+    optimizer = AdamW(model.trainable_parameters(), config.optimizer)
     curve = run_training(
         lambda batch: qa_loss(model, batch), optimizer, config, "train",
         pairs, n_batches,
@@ -632,10 +607,7 @@ def run_inference(model: PipelineModel, dataset: Dataset, tasks: list[QATask],
     Returns (pairs, sequences, generated texts, Yes/No scores) as
     ``answer_pairs`` computes them.
     """
-    pairs = build_corpus(
-        dataset, tasks, codec,
-        derived_seed(seed if seed is not None else config.seed, "corpus"),
-        config.prefix, config.min_seq_len, config.max_seq_len)
+    pairs = config.corpus(dataset, tasks, codec, seed)
     sequences = {s.client_id: s for s in dataset.sequences}
     texts, scores = answer_pairs(model, pairs, sequences,
                                  {t.task_id: t for t in tasks}, codec, config)
@@ -735,12 +707,10 @@ def evaluate_stage(out_dir: str | Path, dataset: Dataset,
 
         baselines: dict = {}
         if train_split is not None:
-            predictors = statistical_baseline(
-                task, train_split, codec, seed=derived_seed(config.seed,
-                                                            "corpus"))
-            for kind, predictor in predictors.items():
-                base_preds = [predictor.predict(None) for _ in idx]
-                base_metrics, _ = score_task(task, base_preds, truths, None)
+            train_truths = [p.truth for p in
+                            config.corpus(train_split, [task], codec)]
+            for kind, base_metrics in score_baselines(
+                    task, train_truths, truths).items():
                 for m_name, m_value in base_metrics.items():
                     key = m_name if kind == "mode" else f"{m_name}_{kind}"
                     if m_value is not None:

@@ -8,6 +8,8 @@ import pytest
 
 from eventqa import pipeline
 from eventqa.cli import main as cli_main
+from eventqa.data import GeneratorConfig
+from eventqa.pipeline import StageSchedule, evaluate_stage
 from tests.test_pipeline import run_all_stages, tiny_experiment
 
 
@@ -99,6 +101,16 @@ def test_full_cli_workflow(config_path, tmp_path, capsys):
     ("generate-data", "generator.n_clients=oops",
      ["'generator'", "GeneratorConfig"]),
     ("generate-data", "encoder.dropout=0.7", ["'encoder'", "dropout"]),
+    ("pretrain-encoder", "pretrain.min_lr=5", ["'pretrain'", "min_lr"]),
+    ("pretrain-encoder", "pretrain.peak_lr=oops", ["'pretrain'", "peak_lr"]),
+    ("pretrain-encoder", "warmup.batch_size=0", ["'warmup'", "batch_size"]),
+    ("pretrain-encoder", "optimizer.beta1=oops", ["'optimizer'", "beta1"]),
+    ("pretrain-encoder", "optimizer.clipnorm=0.5",
+     ["'optimizer'", "clipnorm"]),
+    ("pretrain-encoder", "lora.rank=oops", ["'lora'", "rank"]),
+    ("generate-data",
+     'generator.features=[{"name": "c", "kind": "categorical", "k": "x"}]',
+     ["'generator'", "GeneratorConfig"]),
 ])
 def test_bad_nested_config_value_exits_2(config_path, tmp_path, capsys,
                                          command, override, named):
@@ -130,6 +142,25 @@ def corrupt_flip_name_length(raw: bytes) -> bytes:
 CHECKPOINT_READERS = pytest.mark.parametrize("argv", [
     ["eval"], ["ask", "--sequence", "unused.jsonl", "--question", "Any?"]],
     ids=["eval", "ask"])
+
+
+@pytest.mark.parametrize("sidecar,key", [
+    ("pipeline.json", "config"), ("pipeline.json", "tokenizer"),
+    ("pipeline.json", "manifest"), ("encoder.json", "step")])
+def test_missing_sidecar_key_exits_3(trained_run, config_path, tmp_path,
+                                     capsys, sidecar, key):
+    out = tmp_path / "run"
+    shutil.copytree(trained_run, out)
+    path = out / sidecar
+    payload = json.loads(path.read_text())
+    del payload[key]
+    path.write_text(json.dumps(payload))
+    argv = (["eval", "--out", str(out)] if sidecar == "pipeline.json" else
+            ["pretrain-encoder", "--config", str(config_path), "--out",
+             str(out), "--resume"])
+    assert cli_main(argv) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(path) in err and repr(key) in err
 
 
 @CHECKPOINT_READERS
@@ -182,6 +213,42 @@ def test_baseline_follows_the_length_policy(config_path, capsys):
                    "--set", "min_seq_len=9", "--set", "max_seq_len=9"])
     assert rc == 0
     assert capsys.readouterr().out == ""
+
+
+def test_baselines_are_fitted_on_the_training_window(tmp_path, capsys):
+    # every client has 10-14 events, more than the 8-event window
+    cfg = tiny_experiment(
+        generator=GeneratorConfig(
+            n_clients=30, events_min=10, events_max=14,
+            features=tiny_experiment().generator.features),
+        tasks=[{"id": "count", "family": "count_events"},
+               {"id": "last_category", "family": "last_value",
+                "feature": "category"}],
+        held_out_tasks=[],
+        pretrain=StageSchedule(epochs=1, batch_size=8),
+        warmup=StageSchedule(epochs=1, batch_size=16),
+        train=StageSchedule(epochs=1, batch_size=8))
+    out = tmp_path / "run"
+    train, val, *_ = run_all_stages(cfg, out)
+    report = evaluate_stage(out, val, train_split=train)
+    count = next(t for t in report.tasks if t.task_id == "count")
+    # every truth is the window, and so is the fitted mean and median
+    for key in ("mae_mean", "mse_mean", "mae_median", "mse_median"):
+        assert count.baselines[key] == 0.0
+
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(cfg.to_json()))
+    assert cli_main(["baseline", "--config", str(path)]) == 0
+    printed = {}
+    for line in capsys.readouterr().out.splitlines():
+        task_id, kind, name, value = line.split()
+        key = name if kind == "mode" else f"{name}_{kind}"
+        printed[(task_id, key)] = float(value)
+    reported = {(t.task_id, key): value for t in report.tasks
+                for key, value in t.baselines.items()}
+    assert printed.keys() == reported.keys()
+    for key, value in reported.items():
+        assert printed[key] == pytest.approx(value, abs=5e-5)
 
 
 def test_set_overrides(config_path, tmp_path):

@@ -10,7 +10,7 @@ from eventqa.data import Dataset, EventSequence, FeatureSpec, Schema
 from eventqa.encoder import (ARCHITECTURES, EncoderConfig, EventEncoder,
                              NextEventHeads, next_event_loss)
 from eventqa.errors import ConfigError
-from eventqa.optim import AdamW
+from eventqa.optim import AdamW, OptimizerConfig
 
 
 def tiny_config(**kw):
@@ -169,7 +169,7 @@ class TestNextEventPretraining:
         params.update(emb.parameters("e."))
         params.update(enc.parameters("enc."))
         params.update(heads.parameters("h."))
-        opt = AdamW(params, weight_decay=0.0)
+        opt = AdamW(params, OptimizerConfig(weight_decay=0.0))
         batch, mask = codec.encode_batch(ds.sequences)
         for _ in range(steps):
             opt.zero_grad()

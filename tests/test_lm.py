@@ -12,7 +12,7 @@ from eventqa.errors import ConfigError, DataError
 from eventqa.lm import (BOS, EOS, PAD, SEQ_PREFIX, SEQ_SUFFIX, LoraConfig,
                         MultimodalInput, Tokenizer, ToyLm, ToyLmConfig,
                         apply_lora, pad_rows)
-from eventqa.optim import AdamW
+from eventqa.optim import AdamW, OptimizerConfig
 
 WORDS = ["What", "is", "the", "category", "of", "last", "event", "Answer",
          "with", "a", "single", "value", "name", "alpha", "bravo", "charlie",
@@ -251,7 +251,7 @@ class TestGeneration:
         tok = lm.tokenizer
         mm_train = one_row(lm, "Given the history", "Answer yes.", None)
         answer = np.array([[tok.yes_id, EOS]])
-        opt = AdamW(lm.parameters(), weight_decay=0.0)
+        opt = AdamW(lm.parameters(), OptimizerConfig(weight_decay=0.0))
         for _ in range(40):
             opt.zero_grad()
             loss = lm.answer_loss(mm_train, answer, np.ones((1, 2)))

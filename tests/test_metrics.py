@@ -11,7 +11,7 @@ from eventqa.errors import DataError
 from eventqa.metrics import (EvalReport, TaskResult, accuracy, f1_binary,
                              f1_macro, mae, mse, roc_auc, score_task,
                              statistical_baseline)
-from eventqa.qa import Unparseable, build_task
+from eventqa.qa import DEFAULT_PREFIX, Unparseable, build_corpus, build_task
 
 
 def pairwise_auc_oracle(scores, labels):
@@ -148,13 +148,19 @@ def baseline_fixture(categories, seed=0):
     return ds, DatasetCodec.fit(ds)
 
 
+def corpus_truths(task, ds, codec):
+    """The truths of every pair ``build_corpus`` admits (1 to 32 events)."""
+    return [p.truth for p in build_corpus(ds, [task], codec, 0,
+                                          DEFAULT_PREFIX, 1, 32)]
+
+
 class TestStatisticalBaseline:
     def test_mode_predictor(self):
         ds, codec = baseline_fixture(["a", "a", "b"])
         task = build_task({"id": "last", "family": "last_value",
                            "feature": "cat"})
-        predictors = statistical_baseline(task, ds, codec)
-        assert predictors["mode"].predict(None) == "a"
+        predictors = statistical_baseline(task, corpus_truths(task, ds, codec))
+        assert predictors["mode"] == "a"
 
     def test_mean_and_median_predictors(self):
         schema = Schema((FeatureSpec("x", "real"),))
@@ -165,11 +171,10 @@ class TestStatisticalBaseline:
         task = build_task({"id": "m", "family": "last_value", "feature": "x"})
         # numeric truth type comes from the family; use next_value_number-like
         task = build_task({"id": "m", "family": "max_value", "feature": "x"})
-        predictors = statistical_baseline(task, ds, codec)
+        predictors = statistical_baseline(task, corpus_truths(task, ds, codec))
         reps = [codec["x"].bins.discretize(v)[0] for v in (1.0, 2.0, 9.0)]
-        assert predictors["mean"].predict(None) == pytest.approx(
-            sum(reps) / 3)
-        assert predictors["median"].predict(None) == pytest.approx(
+        assert predictors["mean"] == pytest.approx(sum(reps) / 3)
+        assert predictors["median"] == pytest.approx(
             float(np.median(reps)))
 
     def test_empty_training_split_rejected(self):
@@ -178,7 +183,7 @@ class TestStatisticalBaseline:
         task = build_task({"id": "last", "family": "last_value",
                            "feature": "cat"})
         with pytest.raises(DataError):
-            statistical_baseline(task, empty, codec)
+            statistical_baseline(task, corpus_truths(task, empty, codec))
 
     def test_uniform_random_targets_score_near_chance(self):
         rng = np.random.default_rng(7)
@@ -186,9 +191,9 @@ class TestStatisticalBaseline:
         ds, codec = baseline_fixture(cats)
         task = build_task({"id": "last", "family": "last_value",
                            "feature": "cat"})
-        predictors = statistical_baseline(task, ds, codec)
+        predictors = statistical_baseline(task, corpus_truths(task, ds, codec))
         truths = [s.values["cat"][-1] for s in ds.sequences]
-        preds = [predictors["mode"].predict(None)] * len(truths)
+        preds = [predictors["mode"]] * len(truths)
         assert accuracy(preds, truths) == pytest.approx(0.25, abs=0.05)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eventqa.autodiff import Tensor
-from eventqa.optim import AdamW, LrSchedule
+from eventqa.optim import AdamW, LrSchedule, OptimizerConfig
 
 
 def make_param(value):
@@ -20,14 +20,15 @@ class TestAdamW:
         # step, so the parameter moves by exactly lr (up to eps)
         p = make_param([1.0])
         p.grad = np.array([1.0])
-        opt = AdamW({"p": p}, beta1=0.9, beta2=0.98, weight_decay=0.0)
+        opt = AdamW({"p": p}, OptimizerConfig(beta1=0.9, beta2=0.98,
+                                              weight_decay=0.0))
         opt.step(lr=0.1)
         assert p.data[0] == pytest.approx(0.9, abs=1e-8)
 
     def test_zero_grad_zero_decay_is_identity(self):
         p = make_param([[1.0, -2.0], [0.5, 3.0]])
         p.grad = np.zeros((2, 2))
-        opt = AdamW({"p": p}, weight_decay=0.0)
+        opt = AdamW({"p": p}, OptimizerConfig(weight_decay=0.0))
         before = p.data.copy()
         for _ in range(5):
             opt.step(lr=0.7)
@@ -36,7 +37,7 @@ class TestAdamW:
     def test_decay_term_only(self):
         p = make_param([1.0])
         p.grad = np.array([0.0])
-        opt = AdamW({"p": p}, weight_decay=0.01)
+        opt = AdamW({"p": p}, OptimizerConfig(weight_decay=0.01))
         opt.step(lr=0.1)
         assert p.data[0] == pytest.approx(0.999, abs=1e-15)
 
@@ -44,7 +45,7 @@ class TestAdamW:
         # decoupled decay: the decay term is lr*wd*p regardless of gradients
         p1 = make_param([2.0])
         p1.grad = np.array([0.0])
-        opt = AdamW({"p": p1}, weight_decay=0.1)
+        opt = AdamW({"p": p1}, OptimizerConfig(weight_decay=0.1))
         opt.step(lr=0.5)
         assert p1.data[0] == pytest.approx(2.0 - 0.5 * 0.1 * 2.0, abs=1e-12)
 
@@ -65,7 +66,7 @@ class TestAdamW:
 
     def test_missing_grad_treated_as_zero(self):
         p = make_param([4.0])
-        opt = AdamW({"p": p}, weight_decay=0.0)
+        opt = AdamW({"p": p}, OptimizerConfig(weight_decay=0.0))
         opt.step(lr=0.3)
         assert p.data[0] == 4.0
 

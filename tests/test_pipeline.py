@@ -339,6 +339,18 @@ class TestConfigValidation:
         assert minimal.to_json() == direct.to_json()
         assert minimal.config_hash() == direct.config_hash()
 
+    @pytest.mark.parametrize("section,given", [
+        ("lora", {"alpha": 8.0}), ("warmup", {"epochs": 5}),
+        ("optimizer", {"weight_decay": 0.0})])
+    def test_partial_section_keeps_experiment_defaults(self, section, given):
+        cfg = tiny_experiment()
+        read = ExperimentConfig.from_json(
+            {"generator": cfg.generator.to_json(), "tasks": cfg.tasks,
+             section: given})
+        default = ExperimentConfig(cfg.generator, cfg.tasks)
+        assert getattr(read, section).to_json() == {
+            **getattr(default, section).to_json(), **given}
+
     @pytest.mark.parametrize("name", ["generator", "tasks"])
     def test_missing_required_field_named(self, name):
         payload = tiny_experiment().to_json()
