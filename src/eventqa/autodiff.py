@@ -120,9 +120,6 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -261,11 +258,10 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     data = a.data.transpose(axes)
-    inverse = tuple(np.argsort(axes))
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(g.transpose(inverse), owned=True)
+            a.accumulate_grad(g.transpose(np.argsort(axes)), owned=True)
 
     return _make(data, (a,), backward)
 
@@ -343,14 +339,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.size
-    else:
-        count = a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), _as_tensor(1.0 / count))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -393,6 +381,44 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             x.accumulate_grad((g2 @ w.data.T).reshape(x.shape), owned=True)
 
     return _make(data, (x, w) if b is None else (x, w, b), backward)
+
+
+def lora_linear(x: Tensor, w: Tensor, b: Tensor | None, a: Tensor,
+                bm: Tensor, scale: float,
+                keep: np.ndarray | None = None) -> Tensor:
+    """``x @ w + b + scale * ((x * keep) @ a) @ bm`` as one graph node;
+    without the dropout mask ``keep`` it is one GEMM on the merged weight
+    ``w + scale * a @ bm``. A frozen ``w`` or ``b`` gets no gradient."""
+    x2 = x.data.reshape(-1, x.shape[-1])
+    if keep is None:
+        xd, w_eff = x2, w.data + scale * (a.data @ bm.data)
+        out = x2 @ w_eff
+    else:
+        xd, w_eff = x2 * keep.reshape(x2.shape), w.data
+        out = x2 @ w_eff + (scale * (xd @ a.data)) @ bm.data
+    if b is not None:
+        out += b.data
+    data = out.reshape(x.shape[:-1] + (w.shape[1],))
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if w.requires_grad:
+            w.accumulate_grad(x2.T @ g2, owned=True)
+        if b is not None and b.requires_grad:
+            b.accumulate_grad(g2.sum(axis=0), owned=True)
+        gxa = scale * (g2 @ bm.data.T)
+        if a.requires_grad:
+            a.accumulate_grad(xd.T @ gxa, owned=True)
+        if bm.requires_grad:
+            bm.accumulate_grad(scale * ((xd @ a.data).T @ g2), owned=True)
+        if x.requires_grad:
+            gx = g2 @ w_eff.T
+            if keep is not None:
+                gx += (gxa @ a.data.T) * keep.reshape(x2.shape)
+            x.accumulate_grad(gx.reshape(x.shape), owned=True)
+
+    return _make(data, (x, w, a, bm) if b is None else (x, w, b, a, bm),
+                 backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
@@ -471,8 +497,10 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis of ``x`` then apply the affine (gamma, beta)."""
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    d = x.shape[-1]  # np.add.reduce / d is ndarray.mean, minus its wrapper
+    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+                        + eps)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
 
@@ -490,16 +518,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             x.accumulate_grad(inv * (gy - m1 - xhat * m2), owned=True)
 
     return _make(data, (x, gamma, beta), backward)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout. No-op when p == 0; rng makes it deterministic."""
-    if p <= 0.0:
-        return x
-    if p >= 1.0:
-        raise ValueError("dropout probability must be < 1")
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    return mul(x, Tensor(keep))
 
 
 def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:

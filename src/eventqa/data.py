@@ -409,7 +409,10 @@ class GeneratorConfig(JsonConfig):
             raise ConfigError("need 1 <= gap_min <= gap_max")
         if not self.features:
             raise ConfigError("at least one feature is required")
-        for f in self.features:
+        for i, f in enumerate(self.features):
+            for key in ("name", "kind"):
+                if key not in f:
+                    raise ConfigError(f"feature {i} has no {key!r}")
             if f.get("kind") == CATEGORICAL and int(f.get("k", 0)) < 1:
                 raise ConfigError(
                     f"categorical feature {f.get('name')!r} needs k >= 1")

@@ -130,6 +130,11 @@ class LoraConfig(JsonConfig):
     alpha: float = 32.0
     dropout: float = 0.0
 
+    def __post_init__(self):
+        if self.rank < 1 or not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"need rank >= 1 and dropout in [0, 1), got "
+                              f"rank {self.rank}, dropout {self.dropout}")
+
 
 def pad_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad token rows with PAD: (ids, valid), both (len(rows), longest)."""
@@ -313,7 +318,7 @@ class ToyLm(nn.Module):
 
 
 def apply_lora(model: ToyLm, config: LoraConfig,
-               rng: np.random.Generator) -> dict:
+               rng: np.random.Generator | None) -> dict:
     """Attach adapters to every attention's query and value projections.
 
     All existing model parameters are frozen first; afterwards only the

@@ -68,10 +68,11 @@ class ModuleList(Module):
         return self._items[i]
 
 
-def param(rng: np.random.Generator, shape, scale: float | None = None,
+def param(rng: np.random.Generator | None, shape, scale: float | None = None,
           zeros: bool = False) -> Tensor:
-    """Trainable tensor; default scale is 1/sqrt(fan_in) for 2-D weights."""
-    if zeros:
+    """Trainable tensor; default scale is 1/sqrt(fan_in) for 2-D weights.
+    Without ``rng`` it is zeros and nothing is drawn, for loaded models."""
+    if zeros or rng is None:
         data = np.zeros(shape)
     else:
         if scale is None:
@@ -91,35 +92,31 @@ class Linear(Module):
         self.d_in = d_in
         self.d_out = d_out
         self.w = param(rng, (d_in, d_out), scale=scale, zeros=zeros)
-        self.has_bias = bias
-        if bias:
-            self.b = param(rng, (d_out,), zeros=True)
+        self.b = param(rng, (d_out,), zeros=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.d_in:
             raise ValueError(f"Linear expected last dim {self.d_in}, got {x.shape[-1]}")
-        return ad.linear(x, self.w, self.b if self.has_bias else None)
+        return ad.linear(x, self.w, self.b)
 
 
 class LoraLinear(Module):
     """A frozen Linear plus a trainable low-rank update.
 
     Forward is x @ (w + (alpha/r) * a @ b) + bias with a of shape (d_in, r)
-    and b of shape (r, d_out). b starts at zero so the adapted map equals the
-    base map exactly until the first update. Dropout, when enabled, applies
-    to the adapter branch input only.
+    and b of shape (r, d_out), one ``ad.lora_linear`` node. b starts at zero
+    so the adapted map equals the base map exactly until the first update.
+    Dropout (training only) masks the adapter input with draws from ``rng``.
     """
 
     def __init__(self, base: Linear, rank: int, alpha: float,
-                 rng: np.random.Generator, dropout: float = 0.0):
+                 rng: np.random.Generator | None, dropout: float = 0.0):
         super().__init__()
-        if rank >= min(base.d_in, base.d_out):
+        if not 0 < rank < min(base.d_in, base.d_out):
             raise ValueError(
-                f"LoRA rank {rank} must be < min(d_in, d_out) = "
-                f"{min(base.d_in, base.d_out)}")
+                f"LoRA rank {rank} must be in [1, min(d_in, d_out) = "
+                f"{min(base.d_in, base.d_out)})")
         self.base = base
-        self.rank = rank
-        self.alpha = alpha
         self.scaling = alpha / rank
         self.dropout_p = dropout
         self.lora_a = param(rng, (base.d_in, rank), scale=0.01)
@@ -128,12 +125,12 @@ class LoraLinear(Module):
         self.training = True
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = self.base(x)
-        xa = x
+        keep = None
         if self.dropout_p > 0.0 and self.training:
-            xa = ad.dropout(x, self.dropout_p, self._rng)
-        delta = ad.linear(ad.linear(xa, self.lora_a), self.lora_b)
-        return ad.add(out, ad.mul(delta, Tensor(self.scaling)))
+            keep = ((self._rng.random(x.shape) >= self.dropout_p)
+                    / (1.0 - self.dropout_p))
+        return ad.lora_linear(x, self.base.w, self.base.b, self.lora_a,
+                              self.lora_b, self.scaling, keep)
 
 
 class LayerNorm(Module):

@@ -95,9 +95,7 @@ class ExperimentConfig(JsonConfig):
     eval_batch_size: int = 64
 
     def __post_init__(self):
-        task_ids = [t["id"] for t in self.tasks]
-        if len(set(task_ids)) != len(task_ids):
-            raise ConfigError(f"duplicate task ids: {task_ids}")
+        task_ids = [t.task_id for t in build_tasks(self.tasks)]
         for held in self.held_out_tasks:
             if held not in task_ids:
                 raise ConfigError(
@@ -120,6 +118,9 @@ class ExperimentConfig(JsonConfig):
             raise ConfigError(
                 f"connector d_enc {self.connector.d_enc} must equal encoder "
                 f"width {self.encoder.d_model}")
+        if self.lora.rank >= self.lm.d_model:
+            raise ConfigError(f"lora.rank {self.lora.rank} must be < "
+                              f"lm.d_model {self.lm.d_model}")
 
     @classmethod
     def from_json(cls, d: dict) -> "ExperimentConfig":
@@ -162,7 +163,7 @@ class PipelineModel(nn.Module):
     """Embedder -> encoder -> connector -> injected language model."""
 
     def __init__(self, codec: DatasetCodec, tokenizer: Tokenizer,
-                 config: ExperimentConfig, rng: np.random.Generator):
+                 config: ExperimentConfig, rng: np.random.Generator | None):
         super().__init__()
         self.config = config
         self.codec = codec
@@ -180,7 +181,8 @@ class PipelineModel(nn.Module):
 
 def load_params(params: dict[str, Tensor],
                 tensors: dict[str, np.ndarray]) -> None:
-    """Copy each checkpoint tensor into the parameter of the same name."""
+    """Each parameter adopts (no copy) the checkpoint tensor of its name;
+    ``tensors`` must not be read or written afterwards."""
     for name, p in params.items():
         if name not in tensors:
             raise ConfigError(f"checkpoint is missing tensor {name!r}")
@@ -188,7 +190,7 @@ def load_params(params: dict[str, Tensor],
             raise ConfigError(
                 f"checkpoint tensor {name!r} has shape {tensors[name].shape}, "
                 f"model expects {p.data.shape}")
-        p.data = tensors[name].copy()
+        p.data = tensors[name]
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +645,15 @@ def answer_pairs(model: PipelineModel, pairs: list[QAPair],
 
 def load_pipeline(out_dir: str | Path) -> tuple[PipelineModel, ExperimentConfig,
                                                 DatasetCodec, dict]:
+    """The trained pipeline in ``out_dir`` for inference: built without a
+    generator (no draws, no adapter dropout), parameters from pipeline.bin."""
     out = Path(out_dir)
     tensors, sidecar = load_checkpoint(out / "pipeline")
     config = ExperimentConfig.from_json(sidecar["config"])
     codec = DatasetCodec.load(out / "codec.json")
     tokenizer = Tokenizer.from_json(sidecar["tokenizer"])
-    rng = np.random.default_rng(derived_seed(config.seed, "train"))
-    model = PipelineModel(codec, tokenizer, config, rng)
-    apply_lora(model.lm, config.lora,
-               np.random.default_rng(derived_seed(config.seed, "lora")))
+    model = PipelineModel(codec, tokenizer, config, None)
+    apply_lora(model.lm, config.lora, None)
     set_lora_training(model.lm, False)
     load_params(model.parameters(), tensors)
     return model, config, codec, sidecar

@@ -361,6 +361,61 @@ def test_linear_frozen_weight_gets_no_gradient():
     assert w.grad is None
 
 
+def _lora_case(shape, bias, masked, frozen_base=False):
+    """(x, w, b, a, bm, keep) with a nonzero ``bm`` so every input matters."""
+    rng = np.random.default_rng(len(shape) + 10 * bias + 100 * masked)
+    live = not frozen_base
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    w = Tensor(rng.normal(size=(shape[-1], 3)), requires_grad=live)
+    b = Tensor(rng.normal(size=3), requires_grad=live) if bias else None
+    a = Tensor(rng.normal(size=(shape[-1], 2)), requires_grad=True)
+    bm = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    keep = (rng.random(shape) >= 0.3) / 0.7 if masked else None
+    return x, w, b, a, bm, keep
+
+
+def _composed_lora(x, w, b, a, bm, scale, keep=None):
+    xd = x if keep is None else ad.mul(x, Tensor(keep))
+    delta = ad.linear(ad.linear(xd, a), bm)
+    return ad.add(ad.linear(x, w, b), ad.mul(delta, Tensor(scale)))
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+@pytest.mark.parametrize("bias", [True, False])
+def test_lora_linear_gradcheck_and_matches_composed_ops(shape, bias, masked):
+    x, w, b, a, bm, keep = _lora_case(shape, bias, masked)
+    params = {"x": x, "w": w, "a": a, "bm": bm} | ({"b": b} if bias else {})
+    weights = Tensor(np.random.default_rng(5).normal(size=shape[:-1] + (3,)))
+    scale = 1.5
+    report = grad_check(
+        lambda: ad.tsum(ad.mul(ad.lora_linear(x, w, b, a, bm, scale, keep),
+                               weights)), params, tolerance=1e-4)
+    assert report["passed"], report["failures"]
+
+    results = []
+    for op in (ad.lora_linear, _composed_lora):
+        for p in params.values():
+            p.zero_grad()
+        out = op(x, w, b, a, bm, scale, keep)
+        backward(ad.tsum(ad.mul(out, weights)))
+        results.append([out.data] + [p.grad.copy() for p in params.values()])
+    for fused, reference in zip(*results):
+        assert _rel(fused, reference) < 1e-12
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_lora_linear_frozen_base_gets_no_gradient(masked):
+    x, w, b, a, bm, keep = _lora_case((2, 3, 4), True, masked,
+                                      frozen_base=True)
+    report = grad_check(
+        lambda: _weighted(ad.lora_linear(x, w, b, a, bm, 2.0, keep),
+                          np.random.default_rng(3)),
+        {"x": x, "a": a, "bm": bm}, tolerance=1e-4)
+    assert report["passed"], report["failures"]
+    assert w.grad is None and b.grad is None
+
+
 # ---------------------------------------------------------------------------
 # gradients handed over without a copy must not alias
 

@@ -111,6 +111,12 @@ def test_full_cli_workflow(config_path, tmp_path, capsys):
     ("generate-data",
      'generator.features=[{"name": "c", "kind": "categorical", "k": "x"}]',
      ["'generator'", "GeneratorConfig"]),
+    ("pretrain-encoder", "lora.rank=0", ["'lora'", "rank"]),
+    ("pretrain-encoder", "lora.rank=24", ["lora.rank", "d_model"]),
+    ("pretrain-encoder", "lora.dropout=1.0", ["'lora'", "dropout"]),
+    ("generate-data", 'tasks=[{"family": "count_events"}]', ["'id'"]),
+    ("generate-data", 'generator.features=[{"name": "c"}]',
+     ["'generator'", "feature 0", "'kind'"]),
 ])
 def test_bad_nested_config_value_exits_2(config_path, tmp_path, capsys,
                                          command, override, named):

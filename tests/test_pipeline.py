@@ -9,18 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eventqa.checkpoint import load_checkpoint
 from eventqa.cli import main as cli_main
 from eventqa.connector import ConnectorConfig
 from eventqa.data import Dataset, GeneratorConfig, save_jsonl
 from eventqa.encoder import EncoderConfig
 from eventqa.errors import ConfigError
 from eventqa.lm import LoraConfig, ToyLmConfig
-from eventqa.pipeline import (ExperimentConfig, StageSchedule, ask,
-                              build_tokenizer, evaluate_stage, fit_codec_stage,
-                              generate_data, load_pipeline, load_splits,
-                              match_question, pretrain_encoder_stage,
-                              run_inference, train_stage, warmup_corpus,
-                              warmup_lm_stage)
+from eventqa.pipeline import (ExperimentConfig, PipelineModel, StageSchedule,
+                              ask, build_tokenizer, evaluate_stage,
+                              fit_codec_stage, generate_data, load_pipeline,
+                              load_splits, match_question,
+                              pretrain_encoder_stage, run_inference,
+                              train_stage, warmup_corpus, warmup_lm_stage)
 from eventqa.qa import build_corpus, build_tasks, derived_seed
 
 
@@ -134,6 +135,36 @@ class TestStages:
         report_a = evaluate_stage(out, val, train_split=train)
         report_b = evaluate_stage(out, val, train_split=train)
         assert report_a.dumps() == report_b.dumps()
+
+    def test_load_pipeline_adopts_checkpoint_without_drawing(
+            self, trained, monkeypatch):
+        out = trained[1]
+        tensors, _ = load_checkpoint(out / "pipeline")
+
+        class NoDraws(np.random.Generator):
+            def normal(self, *args, **kwargs):
+                raise AssertionError("load_pipeline drew normals")
+
+            def random(self, *args, **kwargs):
+                raise AssertionError("load_pipeline drew uniforms")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng",
+                      lambda *args: NoDraws(np.random.PCG64(*args)))
+            model = load_pipeline(out)[0]
+        params = model.parameters()
+        assert params.keys() == tensors.keys()
+        for name, p in params.items():
+            assert p.data.dtype == tensors[name].dtype, name
+            assert p.data.shape == tensors[name].shape, name
+            assert p.data.tobytes() == tensors[name].tobytes(), name
+
+    def test_model_without_generator_starts_at_zero(self, trained):
+        cfg, _, _, _, codec = trained[:5]
+        model = PipelineModel(codec, build_tokenizer(cfg, codec), cfg, None)
+        for name, p in model.parameters().items():
+            expected = 1.0 if name.endswith(".gamma") else 0.0
+            assert np.all(p.data == expected), name
 
     def test_eval_never_mutates_checkpoint(self, trained):
         cfg, out, train, val = trained[:4]
