@@ -59,7 +59,7 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
     _atomic_write_bytes(path, b"".join(parts))
 
 
-def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
+def load_tensors(path: str | Path) -> Entries:
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -103,34 +103,46 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
             raise DataError(f"tensor {name!r} in {path} has unusable shape "
                             f"{shape}: {e}") from None
         out[name] = arr.astype(np.float64)
-    return out
+    return Entries(path, out)
 
 
 def save_sidecar(path: str | Path, payload: dict) -> None:
     atomic_write_text(Path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-class Sidecar(dict):
-    """A checkpoint sidecar; indexing a key it lacks raises DataError naming
-    the file and the key."""
+class Entries(dict):
+    """The tensors or sidecar entries read from one checkpoint file; indexing
+    a key it lacks raises DataError naming the file and the key."""
 
     def __init__(self, path: Path, payload: dict):
         super().__init__(payload)
         self.path = path
 
     def __missing__(self, key):
-        raise DataError(f"checkpoint sidecar {self.path} has no {key!r} entry")
+        raise DataError(f"checkpoint file {self.path} has no {key!r} entry")
 
 
-def load_sidecar(path: str | Path) -> Sidecar:
-    path = Path(path)
+def read_json(path: str | Path, what: str, from_json=None):
+    """The JSON object in ``path``, passed through ``from_json`` when given.
+    An unreadable file, bad JSON, a non-object, or a missing or mistyped
+    entry raises DataError naming ``what`` and the path."""
     try:
-        sidecar = json.loads(path.read_text())
+        payload = json.loads(Path(path).read_text())
     except (OSError, ValueError) as e:
-        raise DataError(f"cannot read checkpoint sidecar {path}: {e}") from None
-    if not isinstance(sidecar, dict):
-        raise DataError(f"checkpoint sidecar {path} is not a JSON object")
-    return Sidecar(path, sidecar)
+        raise DataError(f"cannot read {what} {path}: {e}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{what} {path} is not a JSON object")
+    if from_json is None:
+        return payload
+    try:
+        return from_json(payload)
+    except (KeyError, TypeError, AttributeError) as e:
+        raise DataError(f"{what} {path} has a missing or mistyped entry: "
+                        f"{type(e).__name__} {e}") from None
+
+
+def load_sidecar(path: str | Path) -> Entries:
+    return Entries(Path(path), read_json(path, "checkpoint sidecar"))
 
 
 def save_checkpoint(base_path: str | Path, tensors: dict[str, np.ndarray],

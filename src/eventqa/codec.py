@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .checkpoint import atomic_write_text
+from .checkpoint import atomic_write_text, read_json
 from .data import (CATEGORICAL, INTEGER, REAL, TIME_DERIVED, Dataset,
                    EventSequence, FeatureSpec, Schema)
 from .errors import ConfigError, DataError
@@ -241,13 +241,29 @@ class FeatureCodec:
     def dim(self) -> int:
         return embedding_dim(self.n_values)
 
-    def index_of(self, value, strict: bool = True) -> int:
+    def encode_column(self, column: list, strict: bool = True) -> np.ndarray:
+        """int64 codes of raw values in one pass; ``None`` codes to 0.
+
+        A binned value codes to ``discretize(x)[1] + 1``. A value missing
+        from the vocabulary raises DataError when ``strict`` and codes to 0
+        otherwise.
+        """
         if self.vocab is not None:
-            return self.vocab.index_of(value, strict=strict)
-        if value is None:
-            return 0
-        _, bin_idx = self.bins.discretize(float(value))
-        return bin_idx + 1
+            lookup = self.vocab._index.get
+            codes = [0 if v is None else lookup(v, 0) for v in column]
+            if strict and 0 in codes:
+                for v, c in zip(column, codes):
+                    if c == 0 and v is not None:
+                        raise DataError(f"{self.vocab.feature}: value {v!r} "
+                                        f"not in vocabulary")
+            return np.array(codes, dtype=np.int64)
+        x = np.array([0.0 if v is None else v for v in column], dtype=np.float64)
+        if np.isnan(x).any():
+            raise DataError(f"{self.bins.feature}: cannot discretize NaN")
+        b = self.bins.boundaries
+        codes = np.minimum(np.searchsorted(b, x, side="left"), len(b) - 1) + 1
+        codes[[v is None for v in column]] = 0
+        return codes
 
     def decode(self, index: int):
         """Representative raw value for a coded index (None for reserved)."""
@@ -322,33 +338,27 @@ class DatasetCodec:
     def encode_sequence(self, seq: EventSequence,
                         strict: bool = True) -> dict[str, np.ndarray]:
         """Feature name -> int index array of length len(seq)."""
-        if len(seq) == 0:
-            raise DataError(f"client {seq.client_id!r}: empty sequence")
-        out: dict[str, np.ndarray] = {}
-        for spec in self.schema.features:
-            codec = self.codecs[spec.name]
-            column = seq.feature_column(spec)
-            out[spec.name] = np.array(
-                [codec.index_of(v, strict=strict) for v in column],
-                dtype=np.int64)
-        return out
+        batch, _ = self.encode_batch([seq], strict)
+        return {f: codes[0] for f, codes in batch.items()}
 
     def encode_batch(self, seqs: list[EventSequence], strict: bool = True,
                      ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """Left-aligned padded index matrices plus a (B, I) validity mask."""
+        """Left-aligned padded index matrices plus a (B, I) validity mask;
+        each feature's values across the batch are coded in one call."""
         if not seqs:
             raise DataError("empty batch")
-        lengths = [len(s) for s in seqs]
-        max_len = max(lengths)
-        batch = {f: np.zeros((len(seqs), max_len), dtype=np.int64)
-                 for f in self.feature_names}
-        mask = np.zeros((len(seqs), max_len))
-        for i, seq in enumerate(seqs):
-            encoded = self.encode_sequence(seq, strict=strict)
-            for f in self.feature_names:
-                batch[f][i, :lengths[i]] = encoded[f]
-            mask[i, :lengths[i]] = 1.0
-        return batch, mask
+        for seq in seqs:
+            if len(seq) == 0:
+                raise DataError(f"client {seq.client_id!r}: empty sequence")
+        lengths = np.array([len(s) for s in seqs])
+        valid = np.arange(lengths.max()) < lengths[:, None]
+        batch = {}
+        for spec in self.schema.features:
+            column = [v for seq in seqs for v in seq.feature_column(spec)]
+            batch[spec.name] = np.zeros(valid.shape, dtype=np.int64)
+            batch[spec.name][valid] = self.codecs[spec.name].encode_column(
+                column, strict)
+        return batch, valid.astype(np.float64)
 
     def to_json(self) -> dict:
         return {"version": CODEC_VERSION,
@@ -371,38 +381,24 @@ class DatasetCodec:
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetCodec":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return read_json(path, "codec", cls.from_json)
 
 
 class EventEmbedder(nn.Module):
     """One trainable embedding table per feature; events concatenate rows.
 
-    The output width is the sum of the per-feature embedding dims; embedding
-    a sequence stacks its event vectors in order.
+    The output width is the sum of the per-feature embedding dims.
     """
 
     def __init__(self, codec: DatasetCodec, rng: np.random.Generator):
         super().__init__()
-        self.codec = codec
         self.feature_names = codec.feature_names
         self.tables = nn.ModuleList([
             nn.Embedding(codec[f].arity, codec[f].dim, rng)
             for f in self.feature_names])
-        self.event_dim = codec.event_dim
 
     def embed_indices(self, indices: dict[str, np.ndarray]) -> Tensor:
         """(..., D) embedding of per-feature index arrays of equal shape."""
         parts = [table(indices[f])
                  for f, table in zip(self.feature_names, self.tables)]
         return ad.concat(parts, axis=-1)
-
-    def embed_event(self, seq: EventSequence, position: int,
-                    strict: bool = True) -> Tensor:
-        encoded = self.codec.encode_sequence(seq, strict=strict)
-        one = {f: encoded[f][position:position + 1] for f in self.feature_names}
-        return ad.reshape(self.embed_indices(one), (self.event_dim,))
-
-    def embed_sequence(self, seq: EventSequence, strict: bool = True) -> Tensor:
-        """(len(seq), D) matrix, row i embedding event i."""
-        encoded = self.codec.encode_sequence(seq, strict=strict)
-        return self.embed_indices(encoded)

@@ -31,7 +31,8 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .checkpoint import atomic_write_text, load_checkpoint, save_checkpoint
+from .checkpoint import (Entries, atomic_write_text, load_checkpoint,
+                         read_json, save_checkpoint)
 from .codec import DEFAULT_INTEGER_VOCAB_CAP, DatasetCodec, EventEmbedder
 from .connector import Connector, ConnectorConfig
 from .data import (Dataset, EventSequence, GeneratorConfig, Schema,
@@ -179,17 +180,16 @@ class PipelineModel(nn.Module):
         return self.connector.forward(encoded, event_mask)
 
 
-def load_params(params: dict[str, Tensor],
-                tensors: dict[str, np.ndarray]) -> None:
+def load_params(params: dict[str, Tensor], tensors: Entries) -> None:
     """Each parameter adopts (no copy) the checkpoint tensor of its name;
-    ``tensors`` must not be read or written afterwards."""
+    ``tensors`` must not be read or written afterwards. Callers match the
+    config against the checkpoint first, so a missing or mis-shaped tensor
+    is a corrupt file: DataError naming it."""
     for name, p in params.items():
-        if name not in tensors:
-            raise ConfigError(f"checkpoint is missing tensor {name!r}")
         if tensors[name].shape != p.data.shape:
-            raise ConfigError(
-                f"checkpoint tensor {name!r} has shape {tensors[name].shape}, "
-                f"model expects {p.data.shape}")
+            raise DataError(
+                f"tensor {name!r} in {tensors.path} has shape "
+                f"{tensors[name].shape}, the model expects {p.data.shape}")
         p.data = tensors[name]
 
 
@@ -207,21 +207,34 @@ class QABatch:
     body_valid: np.ndarray
     answer_ids: np.ndarray
     answer_valid: np.ndarray
+    windows: dict[str, np.ndarray]   # distinct visible windows, same width
+    window_mask: np.ndarray
+    window_of: np.ndarray            # pair -> its row of ``windows``
 
 
 def make_qa_batch(pairs: list[QAPair], sequences: dict[str, EventSequence],
                   tasks: dict[str, QATask], codec: DatasetCodec,
                   tokenizer: Tokenizer, config: ExperimentConfig) -> QABatch:
-    visible = []
+    """Model inputs for ``pairs``. A visible window depends only on the
+    client and on whether the task holds out the last event, so each
+    distinct window is admitted and encoded once and pairs share its row."""
+    rows: dict[tuple[str, bool], int] = {}
+    visible, window_of = [], []
     for p in pairs:
         task = tasks[p.task_id]
-        seq = admit_sequence(sequences[p.client_id], task,
-                             config.min_seq_len, config.max_seq_len)
-        if seq is None:
-            raise DataError(
-                f"pair for client {p.client_id!r} violates the length policy")
-        visible.append(seq)
-    event_batch, event_mask = codec.encode_batch(visible)
+        key = (p.client_id, task.holdout_last)
+        if key not in rows:
+            seq = admit_sequence(sequences[p.client_id], task,
+                                 config.min_seq_len, config.max_seq_len)
+            if seq is None:
+                raise DataError(f"pair for client {p.client_id!r} violates "
+                                f"the length policy")
+            rows[key] = len(visible)
+            visible.append(seq)
+        window_of.append(rows[key])
+    window_of = np.array(window_of)
+    windows, window_mask = codec.encode_batch(visible)
+    event_batch = {f: codes[window_of] for f, codes in windows.items()}
 
     prefix_tok = tokenizer.tokenize(pairs[0].prefix)
     for p in pairs:
@@ -233,8 +246,9 @@ def make_qa_batch(pairs: list[QAPair], sequences: dict[str, EventSequence],
     body_ids, body_valid = pad_rows([tokenizer.tokenize(p.body) for p in pairs])
     answer_ids, answer_valid = pad_rows(
         [tokenizer.tokenize(p.answer) + [EOS] for p in pairs])
-    return QABatch(pairs, event_batch, event_mask, prefix_ids, body_ids,
-                   body_valid, answer_ids, answer_valid)
+    return QABatch(pairs, event_batch, window_mask[window_of], prefix_ids,
+                   body_ids, body_valid, answer_ids, answer_valid, windows,
+                   window_mask, window_of)
 
 
 def qa_loss(model: PipelineModel, batch: QABatch) -> Tensor:
@@ -348,8 +362,8 @@ def load_splits(config: ExperimentConfig,
                 ) -> tuple[Dataset, Dataset, Dataset]:
     """(full, train, val); regenerates deterministically when no dir given."""
     if data_dir is not None:
-        schema = Schema.from_json(
-            json.loads((Path(data_dir) / "schema.json").read_text()))
+        schema = read_json(Path(data_dir) / "schema.json", "schema",
+                           Schema.from_json)
         dataset = load_jsonl(Path(data_dir) / "dataset.jsonl", schema)
     else:
         dataset, _ = generate_synthetic(config.generator, config.seed)
@@ -624,6 +638,7 @@ def answer_pairs(model: PipelineModel, pairs: list[QAPair],
 
     Returns the generated texts and, per pair, p(Yes) - p(No) at the first
     decoding position (computed for every pair; only binary tasks use it).
+    The event tower runs once per distinct window of a chunk.
     """
     tokenizer = model.lm.tokenizer
     texts: list[str] = []
@@ -632,9 +647,10 @@ def answer_pairs(model: PipelineModel, pairs: list[QAPair],
         batch = make_qa_batch(chunk, sequences, tasks, codec, tokenizer,
                               config)
         with ad.no_grad():
-            queries = model.event_queries(batch.event_batch, batch.event_mask)
+            queries = model.event_queries(batch.windows, batch.window_mask)
             mm = model.lm.batch_inputs(batch.prefix_ids, batch.body_ids,
-                                       batch.body_valid, queries)
+                                       batch.body_valid,
+                                       Tensor(queries.data[batch.window_of]))
             chunk_texts, steps = model.lm.generate(mm)
         first = steps[0] if steps else np.zeros((len(chunk), tokenizer.size))
         chunk_scores = first[:, tokenizer.yes_id] - first[:, tokenizer.no_id]

@@ -144,6 +144,11 @@ def corrupt_flip_name_length(raw: bytes) -> bytes:
     return bytes([raw[0] ^ 0x40]) + raw[1:]
 
 
+def corrupt_flip_name_byte(raw: bytes) -> bytes:
+    """The first tensor name still decodes, but names no model tensor."""
+    return raw[:8] + bytes([raw[8] ^ 1]) + raw[9:]
+
+
 # the checkpoint loads before the sequence file is opened
 CHECKPOINT_READERS = pytest.mark.parametrize("argv", [
     ["eval"], ["ask", "--sequence", "unused.jsonl", "--question", "Any?"]],
@@ -171,7 +176,8 @@ def test_missing_sidecar_key_exits_3(trained_run, config_path, tmp_path,
 
 @CHECKPOINT_READERS
 @pytest.mark.parametrize("corrupt", [corrupt_truncate,
-                                     corrupt_flip_name_length])
+                                     corrupt_flip_name_length,
+                                     corrupt_flip_name_byte])
 def test_corrupt_checkpoint_exits_3(trained_run, tmp_path, capsys, argv,
                                     corrupt):
     out = tmp_path / "run"
@@ -182,6 +188,40 @@ def test_corrupt_checkpoint_exits_3(trained_run, tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert "data error" in err and "pipeline.bin" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage,named", [
+    (lambda raw: raw[:len(raw) // 2], "codec.json"),
+    (None, "codec.json"),
+    (lambda raw: b'{"version": 1}', "'schema'"),
+], ids=["truncated", "deleted", "no_schema"])
+def test_damaged_codec_exits_3(trained_run, tmp_path, capsys, damage, named):
+    out = tmp_path / "run"
+    shutil.copytree(trained_run, out)
+    path = out / "codec.json"
+    if damage is None:
+        path.unlink()
+    else:
+        path.write_bytes(damage(path.read_bytes()))
+    assert cli_main(["eval", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(path) in err and named in err
+
+
+def test_unsupported_codec_version_exits_2(trained_run, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(trained_run, out)
+    (out / "codec.json").write_text('{"version": 99}')
+    assert cli_main(["eval", "--out", str(out)]) == 2
+    assert "unsupported codec version 99" in capsys.readouterr().err
+
+
+def test_missing_data_dir_exits_3(trained_run, tmp_path, capsys):
+    data = tmp_path / "nonexistent_dir"
+    assert cli_main(["eval", "--out", str(trained_run),
+                     "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(data / "schema.json") in err
 
 
 @CHECKPOINT_READERS

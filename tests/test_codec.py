@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from eventqa import autodiff as ad
 from eventqa.codec import (BinningSpec, DatasetCodec, EventEmbedder,
-                           doane_bin_count, embedding_dim, fit_bins,
-                           fit_vocabulary, skewness, skewness_sigma)
+                           FeatureCodec, Vocabulary, doane_bin_count,
+                           embedding_dim, fit_bins, fit_vocabulary, skewness,
+                           skewness_sigma)
 from eventqa.data import (Dataset, EventSequence, FeatureSpec, Schema)
 from eventqa.errors import ConfigError, DataError
 
@@ -242,6 +243,177 @@ class TestDatasetCodec:
         assert all(enc[f][0] == 0 for f in codec.feature_names)
 
 
+def embed_sequence(emb, codec, seq, strict=True):
+    """(len(seq), D) matrix, row i embedding event i."""
+    return emb.embed_indices(codec.encode_sequence(seq, strict=strict))
+
+
+def embed_event(emb, codec, seq, position, strict=True):
+    """(D,) embedding of event ``position`` of ``seq``."""
+    encoded = codec.encode_sequence(seq, strict=strict)
+    one = {f: encoded[f][position:position + 1] for f in codec.feature_names}
+    return ad.reshape(emb.embed_indices(one), (codec.event_dim,))
+
+
+def per_value_codes(fc, column, strict=True):
+    """Reference coding of a column, one value at a time."""
+    if fc.vocab is not None:
+        return [fc.vocab.index_of(v, strict=strict) for v in column]
+    return [0 if v is None else fc.bins.discretize(float(v))[1] + 1
+            for v in column]
+
+
+def per_value_batch(codec, seqs):
+    """Reference for ``DatasetCodec.encode_batch``: per-value codes,
+    left-aligned and zero-padded, plus the validity mask."""
+    width = max(len(s) for s in seqs)
+    batch = {f: np.zeros((len(seqs), width), dtype=np.int64)
+             for f in codec.feature_names}
+    mask = np.zeros((len(seqs), width))
+    for i, seq in enumerate(seqs):
+        for spec in codec.schema.features:
+            batch[spec.name][i, :len(seq)] = per_value_codes(
+                codec[spec.name], seq.feature_column(spec))
+        mask[i, :len(seq)] = 1.0
+    return batch, mask
+
+
+def assert_batches_equal(got, want):
+    (got_codes, got_mask), (want_codes, want_mask) = got, want
+    assert got_codes.keys() == want_codes.keys()
+    for f, codes in want_codes.items():
+        assert got_codes[f].dtype == np.int64
+        np.testing.assert_array_equal(got_codes[f], codes)
+    assert got_mask.dtype == want_mask.dtype
+    np.testing.assert_array_equal(got_mask, want_mask)
+
+
+FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def binned_columns(draw):
+    """A binning (sometimes collapsed to [c, c]) and a column of values on
+    its boundaries, between them, beyond both ends, integral or missing."""
+    if draw(st.booleans()):
+        bounds = [draw(FINITE)] * 2
+    else:
+        bounds = sorted(set(draw(st.lists(FINITE, min_size=2, max_size=8))))
+        if len(bounds) < 2:
+            bounds = [bounds[0], bounds[0] + 1.0]
+    fc = FeatureCodec(FeatureSpec("x", "real"), bins=BinningSpec("x", bounds))
+    middles = [(lo + hi) / 2 for lo, hi in zip(bounds, bounds[1:])]
+    value = st.one_of(
+        st.sampled_from(bounds), st.sampled_from(middles),
+        st.floats(max_value=bounds[0], allow_nan=False),
+        st.floats(min_value=bounds[-1], allow_nan=False),
+        st.floats(min_value=bounds[0], max_value=bounds[-1]),
+        st.integers(min_value=-10**6, max_value=10**6), st.none())
+    return fc, draw(st.lists(value, max_size=30))
+
+
+class TestEncodeColumn:
+    def vocab_codec(self):
+        return FeatureCodec(FeatureSpec("cat", "categorical",
+                                        values=("a", "b", "c")),
+                            vocab=Vocabulary("cat", ["a", "b", "c"]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(binned_columns())
+    def test_binned_column_matches_discretize(self, drawn):
+        fc, column = drawn
+        got = fc.encode_column(column)
+        assert got.dtype == np.int64
+        assert got.tolist() == per_value_codes(fc, column)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "b", "c", "zz", None]),
+                    max_size=20))
+    def test_vocabulary_column_matches_index_of(self, column):
+        fc = self.vocab_codec()
+        got = fc.encode_column(column, strict=False)
+        assert got.dtype == np.int64
+        assert got.tolist() == per_value_codes(fc, column, strict=False)
+        if "zz" in column:
+            with pytest.raises(DataError, match="'zz' not in vocabulary"):
+                fc.encode_column(column, strict=True)
+        else:
+            assert fc.encode_column(column).tolist() == got.tolist()
+
+    def test_unknown_value_strict_errors_else_zero(self):
+        fc = self.vocab_codec()
+        with pytest.raises(DataError, match="cat: value 'zz'"):
+            fc.encode_column(["a", "zz", None])
+        assert fc.encode_column(["a", "zz", None],
+                                strict=False).tolist() == [1, 0, 0]
+
+    @pytest.mark.parametrize("bounds", [[0.0, 10.0, 20.0], [3.0, 3.0]])
+    def test_nan_raises(self, bounds):
+        fc = FeatureCodec(FeatureSpec("x", "real"),
+                          bins=BinningSpec("x", bounds))
+        with pytest.raises(DataError, match="x: cannot discretize NaN"):
+            fc.encode_column([1.0, float("nan")], strict=False)
+
+    def test_encode_batch_matches_per_value_reference(self):
+        ds = small_dataset()
+        codec = DatasetCodec.fit(ds, integer_vocab_cap=2)  # "count" binned
+        short = EventSequence("s", [1, 2], {
+            "category": ["a", None], "count": [None, 9], "amount": [1.0, -4.0]})
+        seqs = ds.sequences + [short]
+        assert_batches_equal(codec.encode_batch(seqs),
+                             per_value_batch(codec, seqs))
+
+
+@pytest.fixture(scope="module")
+def codec_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("codec") / "codec.json"
+    DatasetCodec.fit(small_dataset()).save(path)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut=st.integers(min_value=0, max_value=100_000))
+def test_truncated_codec_raises_only_data_or_config_error(codec_file, cut):
+    path, raw = codec_file
+    damaged = path.with_name("damaged.json")
+    damaged.write_bytes(raw[:cut % len(raw)])
+    try:
+        DatasetCodec.load(damaged)
+    except (DataError, ConfigError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(bit=st.integers(min_value=0, max_value=1_000_000))
+def test_bit_flipped_codec_raises_only_data_or_config_error(codec_file, bit):
+    path, raw = codec_file
+    flipped = bytearray(raw)
+    bit %= 8 * len(raw)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    damaged = path.with_name("damaged.json")
+    damaged.write_bytes(bytes(flipped))
+    try:
+        DatasetCodec.load(damaged)
+    except (DataError, ConfigError):
+        pass
+
+
+@pytest.mark.parametrize("text,error,match", [
+    (None, DataError, "cannot read codec"),
+    ('{"version": 1', DataError, "cannot read codec"),
+    ('[1]', DataError, "not a JSON object"),
+    ('{"version": 1}', DataError, "'schema'"),
+    ('{"version": 2}', ConfigError, "unsupported codec version"),
+], ids=["missing", "truncated", "not_object", "no_schema", "version"])
+def test_unusable_codec_file_named(tmp_path, text, error, match):
+    path = tmp_path / "codec.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(error, match=match) as info:
+        DatasetCodec.load(path)
+    assert error is ConfigError or str(path) in str(info.value)
+
+
 class TestEventEmbedder:
     def build(self):
         ds = small_dataset()
@@ -252,7 +424,7 @@ class TestEventEmbedder:
     def test_embed_event_concatenates_in_schema_order(self):
         ds, codec, emb = self.build()
         dims = [codec[f].dim for f in codec.feature_names]
-        out = emb.embed_event(ds.sequences[0], 0)
+        out = embed_event(emb, codec, ds.sequences[0], 0)
         assert out.shape == (sum(dims),)
         # concatenation order: compare against manual per-feature lookup
         enc = codec.encode_sequence(ds.sequences[0])
@@ -266,24 +438,24 @@ class TestEventEmbedder:
         ds, codec, emb = self.build()
         seq = EventSequence("m", [1, 5], {
             "category": ["a", "a"], "count": [2, 2], "amount": [1.0, 1.0]})
-        mat = emb.embed_sequence(seq)
+        mat = embed_sequence(emb, codec, seq)
         np.testing.assert_array_equal(mat.data[0], mat.data[1])
 
     def test_zero_tables_give_zero_vector(self):
         ds, codec, emb = self.build()
         for table in emb.tables:
             table.table.data[:] = 0.0
-        out = emb.embed_event(ds.sequences[0], 3)
+        out = embed_event(emb, codec, ds.sequences[0], 3)
         np.testing.assert_array_equal(out.data, np.zeros(codec.event_dim))
 
     def test_embed_sequence_rows_match_events(self):
         ds, codec, emb = self.build()
         seq = ds.sequences[2]
-        mat = emb.embed_sequence(seq)
+        mat = embed_sequence(emb, codec, seq)
         assert mat.shape == (len(seq), codec.event_dim)
         for i in range(len(seq)):
             np.testing.assert_array_equal(
-                mat.data[i], emb.embed_event(seq, i).data)
+                mat.data[i], embed_event(emb, codec, seq, i).data)
 
     def test_permuting_events_permutes_rows(self):
         ds, codec, emb = self.build()
@@ -293,7 +465,7 @@ class TestEventEmbedder:
         b = EventSequence("p", [1, 2], {"category": ["b", "a"],
                                         "count": [1, 0],
                                         "amount": [9.0, 1.0]})
-        ma, mb = emb.embed_sequence(a), emb.embed_sequence(b)
+        ma, mb = embed_sequence(emb, codec, a), embed_sequence(emb, codec, b)
         np.testing.assert_array_equal(ma.data[0], mb.data[1])
         np.testing.assert_array_equal(ma.data[1], mb.data[0])
 
@@ -307,8 +479,8 @@ class TestEventEmbedder:
         seq = EventSequence("u", [1], {"category": ["zz"], "count": [0],
                                        "amount": [1.0]})
         with pytest.raises(DataError, match="zz"):
-            emb.embed_sequence(seq, strict=True)
-        out = emb.embed_sequence(seq, strict=False)
+            embed_sequence(emb, codec, seq, strict=True)
+        out = embed_sequence(emb, codec, seq, strict=False)
         assert out.shape == (1, codec.event_dim)
 
     def test_tables_are_trainable(self):

@@ -9,20 +9,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eventqa import autodiff as ad
+from eventqa import pipeline
 from eventqa.checkpoint import load_checkpoint
 from eventqa.cli import main as cli_main
+from eventqa.codec import DatasetCodec
 from eventqa.connector import ConnectorConfig
 from eventqa.data import Dataset, GeneratorConfig, save_jsonl
 from eventqa.encoder import EncoderConfig
 from eventqa.errors import ConfigError
 from eventqa.lm import LoraConfig, ToyLmConfig
 from eventqa.pipeline import (ExperimentConfig, PipelineModel, StageSchedule,
-                              ask, build_tokenizer, evaluate_stage,
-                              fit_codec_stage, generate_data, load_pipeline,
-                              load_splits, match_question,
-                              pretrain_encoder_stage, run_inference,
-                              train_stage, warmup_corpus, warmup_lm_stage)
-from eventqa.qa import build_corpus, build_tasks, derived_seed
+                              answer_pairs, ask, build_tokenizer,
+                              evaluate_stage, fit_codec_stage, generate_data,
+                              load_pipeline, load_splits, make_qa_batch,
+                              match_question, pretrain_encoder_stage,
+                              run_inference, train_stage, warmup_corpus,
+                              warmup_lm_stage)
+from eventqa.qa import admit_sequence, build_corpus, build_tasks, derived_seed
+from tests.test_codec import assert_batches_equal, per_value_batch
 
 
 def tiny_experiment(seed=11, **kw):
@@ -249,6 +254,125 @@ class TestStages:
         # binning stats must come from the train split alone
         assert codec["amount"].bins.stats["n_samples"] == \
             sum(len(s) for s in train.sequences)
+
+
+def recording(calls: list, fn):
+    """``fn`` that also appends (args, result) of every call to ``calls``."""
+    def wrapper(*args):
+        result = fn(*args)
+        calls.append((args, result))
+        return result
+    return wrapper
+
+
+class TestWindowBatches:
+    """Encoded windows against per-value coding, and one event-tower row per
+    distinct window at inference. The trained ``next_category`` task holds
+    out the last event, so every client has two visible windows."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("windows")
+        tasks = tiny_experiment().tasks + [
+            {"id": "next_category", "family": "next_value",
+             "feature": "category"}]
+        cfg = tiny_experiment(tasks=tasks)
+        full, train, val = load_splits(cfg)
+        codec = fit_codec_stage(cfg, train)
+        encoded, batches = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DatasetCodec, "encode_batch",
+                       recording(encoded, DatasetCodec.encode_batch))
+            pretrain_encoder_stage(cfg, train, codec, out)
+        warmup_lm_stage(cfg, codec, out)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "make_qa_batch",
+                       recording(batches, make_qa_batch))
+            train_stage(cfg, train, val, codec, out)
+        return cfg, out, full, train, codec, encoded, batches
+
+    def test_pretraining_batches_match_per_value_coding(self, run):
+        cfg, _, _, train, _, encoded, _ = run
+        n_batches = len(train.sequences) // cfg.pretrain.batch_size
+        assert len(encoded) == cfg.pretrain.epochs * n_batches
+        for (codec, seqs), got in encoded:
+            assert_batches_equal(got, per_value_batch(codec, seqs))
+        assert {s.client_id for (_, seqs), _ in encoded for s in seqs} == \
+            {s.client_id for s in train.sequences}
+
+    def test_training_batches_match_per_value_coding(self, run):
+        cfg, _, _, train, codec, _, batches = run
+        corpus = cfg.corpus(train, [t for t in cfg.built_tasks() if t.task_id
+                                    in cfg.trained_task_ids()], codec)
+        n_steps = cfg.train.epochs * (len(corpus) // cfg.train.batch_size)
+        assert len(batches) > n_steps  # the validation parse pass follows
+        for (pairs, sequences, tasks, _, _, config), batch in batches:
+            windows = [admit_sequence(sequences[p.client_id],
+                                      tasks[p.task_id], config.min_seq_len,
+                                      config.max_seq_len) for p in pairs]
+            want = per_value_batch(codec, windows)
+            assert_batches_equal((batch.event_batch, batch.event_mask), want)
+            rows = batch.window_of
+            assert_batches_equal(
+                ({f: w[rows] for f, w in batch.windows.items()},
+                 batch.window_mask[rows]), want)
+            keys = {(p.client_id, tasks[p.task_id].holdout_last)
+                    for p in pairs}
+            assert len(batch.window_mask) == len(keys)
+        trained = {(p.client_id, p.task_id)
+                   for (pairs, *_), _ in batches[:n_steps] for p in pairs}
+        assert trained == {(p.client_id, p.task_id) for p in corpus}
+
+    def pairs(self, run):
+        _, out, full, *_ = run
+        model, config, codec, _ = load_pipeline(out)
+        tasks = {t.task_id: t for t in config.built_tasks()}
+        pairs = config.corpus(full, [tasks[t] for t in
+                                     config.trained_task_ids()], codec)
+        sequences = {s.client_id: s for s in full.sequences}
+        assert len(pairs) > config.eval_batch_size  # more than one chunk
+        return model, config, codec, tasks, pairs, sequences
+
+    def test_answers_match_one_tower_pass_per_pair(self, run):
+        model, config, codec, tasks, pairs, sequences = self.pairs(run)
+        texts, scores = answer_pairs(model, pairs, sequences, tasks, codec,
+                                     config)
+        tokenizer = model.lm.tokenizer
+        want_texts, want_scores = [], []
+        size = config.eval_batch_size
+        for i in range(0, len(pairs), size):
+            batch = make_qa_batch(pairs[i:i + size], sequences, tasks, codec,
+                                  tokenizer, config)
+            with ad.no_grad():
+                queries = model.event_queries(batch.event_batch,
+                                              batch.event_mask)
+                mm = model.lm.batch_inputs(batch.prefix_ids, batch.body_ids,
+                                           batch.body_valid, queries)
+                chunk_texts, steps = model.lm.generate(mm)
+            want_texts += chunk_texts
+            want_scores += (steps[0][:, tokenizer.yes_id]
+                            - steps[0][:, tokenizer.no_id]).tolist()
+        assert texts == want_texts
+        assert scores == want_scores
+
+    def test_event_tower_runs_once_per_distinct_window(self, run,
+                                                       monkeypatch):
+        model, config, codec, tasks, pairs, sequences = self.pairs(run)
+        rows = []
+        event_queries = PipelineModel.event_queries
+
+        def counting(self, event_batch, event_mask):
+            rows.append(len(event_mask))
+            return event_queries(self, event_batch, event_mask)
+
+        monkeypatch.setattr(PipelineModel, "event_queries", counting)
+        answer_pairs(model, pairs, sequences, tasks, codec, config)
+        size = config.eval_batch_size
+        distinct = [len({(p.client_id, tasks[p.task_id].holdout_last)
+                         for p in pairs[i:i + size]})
+                    for i in range(0, len(pairs), size)]
+        assert rows == distinct
+        assert sum(rows) < len(pairs)
 
 
 class TestDeterminism:
