@@ -335,12 +335,6 @@ class DatasetCodec:
     def event_dim(self) -> int:
         return sum(self.codecs[f].dim for f in self.feature_names)
 
-    def encode_sequence(self, seq: EventSequence,
-                        strict: bool = True) -> dict[str, np.ndarray]:
-        """Feature name -> int index array of length len(seq)."""
-        batch, _ = self.encode_batch([seq], strict)
-        return {f: codes[0] for f, codes in batch.items()}
-
     def encode_batch(self, seqs: list[EventSequence], strict: bool = True,
                      ) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """Left-aligned padded index matrices plus a (B, I) validity mask;

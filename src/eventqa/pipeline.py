@@ -182,14 +182,16 @@ class PipelineModel(nn.Module):
 
 def load_params(params: dict[str, Tensor], tensors: Entries) -> None:
     """Each parameter adopts (no copy) the checkpoint tensor of its name;
-    ``tensors`` must not be read or written afterwards. Callers match the
-    config against the checkpoint first, so a missing or mis-shaped tensor
-    is a corrupt file: DataError naming it."""
+    ``tensors`` must not be read or written afterwards. A missing tensor is
+    a damaged file (DataError from ``Entries``); a mis-shaped one means the
+    checkpoint was built for another model, e.g. before the codec was
+    refitted (ConfigError)."""
     for name, p in params.items():
         if tensors[name].shape != p.data.shape:
-            raise DataError(
-                f"tensor {name!r} in {tensors.path} has shape "
-                f"{tensors[name].shape}, the model expects {p.data.shape}")
+            raise ConfigError(
+                f"checkpoint {tensors.path} does not match the model: tensor "
+                f"{name!r} has shape {tensors[name].shape}, the model expects "
+                f"{p.data.shape}")
         p.data = tensors[name]
 
 

@@ -8,8 +8,9 @@ import pytest
 
 from eventqa import pipeline
 from eventqa.cli import main as cli_main
-from eventqa.data import GeneratorConfig
-from eventqa.pipeline import StageSchedule, evaluate_stage
+from eventqa.codec import DatasetCodec
+from eventqa.data import Dataset, GeneratorConfig
+from eventqa.pipeline import StageSchedule, evaluate_stage, load_splits
 from tests.test_pipeline import run_all_stages, tiny_experiment
 
 
@@ -188,6 +189,31 @@ def test_corrupt_checkpoint_exits_3(trained_run, tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert "data error" in err and "pipeline.bin" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,checkpoint", [
+    (["train"], "encoder.bin"),
+    (["pretrain-encoder", "--resume"], "encoder.bin"),
+    (["eval"], "pipeline.bin"),
+], ids=["train", "resume", "eval"])
+def test_refitted_codec_exits_2(trained_run, config_path, tmp_path, capsys,
+                                argv, checkpoint):
+    """A codec refitted on other data after the checkpoints were written
+    changes the embedder table shapes: the checkpoints are sound but do not
+    match the model, a config error."""
+    out = tmp_path / "run"
+    shutil.copytree(trained_run, out)
+    _, train, _ = load_splits(tiny_experiment())
+    refit = DatasetCodec.fit(Dataset(train.schema, train.sequences[:3]))
+    fitted = DatasetCodec.load(out / "codec.json")
+    assert refit["amount"].dim != fitted["amount"].dim
+    refit.save(out / "codec.json")
+    if argv != ["eval"]:
+        argv = argv + ["--config", str(config_path)]
+    assert cli_main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "does not match the model" in err
+    assert checkpoint in err and "embedder.tables" in err
 
 
 @pytest.mark.parametrize("damage,named", [

@@ -219,8 +219,8 @@ class TestDatasetCodec:
         loaded = DatasetCodec.load(tmp_path / "codec.json")
         assert loaded.to_json() == codec.to_json()
         ds = small_dataset()
-        a = codec.encode_sequence(ds.sequences[0])
-        b = loaded.encode_sequence(ds.sequences[0])
+        a = encode_sequence(codec, ds.sequences[0])
+        b = encode_sequence(loaded, ds.sequences[0])
         for f in codec.feature_names:
             np.testing.assert_array_equal(a[f], b[f])
 
@@ -239,18 +239,24 @@ class TestDatasetCodec:
         codec = DatasetCodec.fit(ds)
         seq = EventSequence("m", [1], {"category": [None], "count": [None],
                                        "amount": [None]})
-        enc = codec.encode_sequence(seq)
+        enc = encode_sequence(codec, seq)
         assert all(enc[f][0] == 0 for f in codec.feature_names)
+
+
+def encode_sequence(codec, seq, strict=True):
+    """Feature name -> int index array of length len(seq): a batch of one."""
+    batch, _ = codec.encode_batch([seq], strict)
+    return {f: codes[0] for f, codes in batch.items()}
 
 
 def embed_sequence(emb, codec, seq, strict=True):
     """(len(seq), D) matrix, row i embedding event i."""
-    return emb.embed_indices(codec.encode_sequence(seq, strict=strict))
+    return emb.embed_indices(encode_sequence(codec, seq, strict=strict))
 
 
 def embed_event(emb, codec, seq, position, strict=True):
     """(D,) embedding of event ``position`` of ``seq``."""
-    encoded = codec.encode_sequence(seq, strict=strict)
+    encoded = encode_sequence(codec, seq, strict=strict)
     one = {f: encoded[f][position:position + 1] for f in codec.feature_names}
     return ad.reshape(emb.embed_indices(one), (codec.event_dim,))
 
@@ -427,7 +433,7 @@ class TestEventEmbedder:
         out = embed_event(emb, codec, ds.sequences[0], 0)
         assert out.shape == (sum(dims),)
         # concatenation order: compare against manual per-feature lookup
-        enc = codec.encode_sequence(ds.sequences[0])
+        enc = encode_sequence(codec, ds.sequences[0])
         offset = 0
         for f, d, table in zip(codec.feature_names, dims, emb.tables):
             np.testing.assert_array_equal(

@@ -14,6 +14,7 @@ from eventqa.qa import (DEFAULT_PREFIX, QATask, Unparseable, build_corpus,
                         build_pair, build_task, build_tasks,
                         corpus_to_jsonl, corpus_word_inventory, ground_truth,
                         parse_answer, render_question, serialize_answer)
+from tests.test_codec import encode_sequence
 
 PRODUCTS = ("black tea", "bread", "drinking water", "grapes")
 
@@ -206,8 +207,8 @@ class TestGroundTruth:
         task = self.task("next_value", feature="product")
         a = seq_of(["bread", "grapes", "black tea"])
         b = seq_of(["bread", "grapes", "grapes"])
-        enc_a = self.codec.encode_sequence(task.visible_sequence(a))
-        enc_b = self.codec.encode_sequence(task.visible_sequence(b))
+        enc_a = encode_sequence(self.codec, task.visible_sequence(a))
+        enc_b = encode_sequence(self.codec, task.visible_sequence(b))
         for f in self.codec.feature_names:
             np.testing.assert_array_equal(enc_a[f], enc_b[f])
         assert ground_truth(task, a, self.codec) != \

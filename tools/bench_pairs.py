@@ -2,7 +2,7 @@
 
 Each revision is exported with ``git archive`` into its own directory, and
 ``benchmark/run.py --trace 0`` runs from each export's root, so both sides
-run their own committed sources. The runs alternate within each pair (base
+run their own committed sources at the benchmark's own run length. The runs alternate within each pair (base
 first on even pairs, head first on odd ones) so that a drifting machine
 affects both sides alike. Usage::
 
@@ -117,11 +117,11 @@ def export(rev: str, into: Path) -> str:
     return commit
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout.name} {workload} seed {seed} failed:\n"
@@ -141,7 +141,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--head", default="HEAD", help="revision under test")
     parser.add_argument("--plan", action="append", required=True, type=parse_plan,
                         metavar="WORKLOAD:FIRST-LAST")
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
@@ -156,15 +155,14 @@ def main(argv: list[str] | None = None) -> int:
             for i, seed in enumerate(seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for position, side in enumerate(order):
-                    result = run_once(checkouts[side], workload, seed,
-                                      args.seconds)
+                    result = run_once(checkouts[side], workload, seed)
                     runs.append({"workload": workload, "seed": seed,
                                  "side": side, "position": position,
                                  "result": result})
                     print(f"{workload} seed {seed} {side}: "
                           f"{json.dumps(result['metrics'])}", file=sys.stderr)
     doc = {"schema": SCHEMA,
-           "command": f"benchmark/run.py --trace 0 --seconds {args.seconds:g}",
+           "command": "benchmark/run.py --trace 0",
            "machine": machine_info(),
            "base": {"rev": args.base, "commit": commits["base"]},
            "head": {"rev": args.head, "commit": commits["head"]},
