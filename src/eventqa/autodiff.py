@@ -191,52 +191,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * data, owned=True)
-
-    return _make(data, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g / a.data, owned=True)
-
-    return _make(data, (a,), backward)
-
-
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def backward(g):
         if a.requires_grad:
             a.accumulate_grad(g * (a.data > 0.0), owned=True)
-
-    return _make(data, (a,), backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * data * (1.0 - data), owned=True)
-
-    return _make(data, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (1.0 - data * data), owned=True)
 
     return _make(data, (a,), backward)
 
@@ -293,11 +253,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                 t.accumulate_grad(g[tuple(idx)])
 
     return _make(data, tensors, backward)
-
-
-def stack(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    expanded = [reshape(t, t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors]
-    return concat(expanded, axis=axis)
 
 
 def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
@@ -359,7 +314,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` over the last axis of ``x``, as one 2-D GEMM.
 
     ``x`` has any number of leading axes; ``w`` is (d_in, d_out) and ``b``
@@ -367,23 +322,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """
     x2 = x.data.reshape(-1, x.shape[-1])
     out = x2 @ w.data
-    if b is not None:
-        out += b.data
+    out += b.data
     data = out.reshape(x.shape[:-1] + (w.shape[1],))
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
         if w.requires_grad:
             w.accumulate_grad(x2.T @ g2, owned=True)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b.accumulate_grad(g2.sum(axis=0), owned=True)
         if x.requires_grad:
             x.accumulate_grad((g2 @ w.data.T).reshape(x.shape), owned=True)
 
-    return _make(data, (x, w) if b is None else (x, w, b), backward)
+    return _make(data, (x, w, b), backward)
 
 
-def lora_linear(x: Tensor, w: Tensor, b: Tensor | None, a: Tensor,
+def lora_linear(x: Tensor, w: Tensor, b: Tensor, a: Tensor,
                 bm: Tensor, scale: float,
                 keep: np.ndarray | None = None) -> Tensor:
     """``x @ w + b + scale * ((x * keep) @ a) @ bm`` as one graph node;
@@ -396,15 +350,14 @@ def lora_linear(x: Tensor, w: Tensor, b: Tensor | None, a: Tensor,
     else:
         xd, w_eff = x2 * keep.reshape(x2.shape), w.data
         out = x2 @ w_eff + (scale * (xd @ a.data)) @ bm.data
-    if b is not None:
-        out += b.data
+    out += b.data
     data = out.reshape(x.shape[:-1] + (w.shape[1],))
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
         if w.requires_grad:
             w.accumulate_grad(x2.T @ g2, owned=True)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b.accumulate_grad(g2.sum(axis=0), owned=True)
         gxa = scale * (g2 @ bm.data.T)
         if a.requires_grad:
@@ -417,8 +370,7 @@ def lora_linear(x: Tensor, w: Tensor, b: Tensor | None, a: Tensor,
                 gx += (gxa @ a.data.T) * keep.reshape(x2.shape)
             x.accumulate_grad(gx.reshape(x.shape), owned=True)
 
-    return _make(data, (x, w, a, bm) if b is None else (x, w, b, a, bm),
-                 backward)
+    return _make(data, (x, w, b, a, bm), backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
@@ -477,20 +429,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         if a.requires_grad:
             dot = (g * data).sum(axis=axis, keepdims=True)
             a.accumulate_grad(data * (g - dot), owned=True)
-
-    return _make(data, (a,), backward)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
-
-    def backward(g):
-        if a.requires_grad:
-            soft = np.exp(data)
-            a.accumulate_grad(g - soft * g.sum(axis=axis, keepdims=True),
-                              owned=True)
 
     return _make(data, (a,), backward)
 

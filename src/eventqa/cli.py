@@ -58,11 +58,6 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_json(payload)
 
 
-def _splits(config: ExperimentConfig, args):
-    data_dir = getattr(args, "data", None)
-    return load_splits(config, data_dir)
-
-
 def cmd_generate_data(args) -> int:
     config = _load_config(args)
     info = generate_data(config, args.out)
@@ -72,7 +67,7 @@ def cmd_generate_data(args) -> int:
 
 def cmd_fit_codec(args) -> int:
     config = _load_config(args)
-    _, train, _ = _splits(config, args)
+    _, train, _ = load_splits(config, args.data)
     codec = fit_codec_stage(config, train)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -95,7 +90,7 @@ def _load_or_fit_codec(config: ExperimentConfig, args, train) -> DatasetCodec:
 
 def cmd_pretrain_encoder(args) -> int:
     config = _load_config(args)
-    _, train, _ = _splits(config, args)
+    _, train, _ = load_splits(config, args.data)
     codec = _load_or_fit_codec(config, args, train)
     info = pretrain_encoder_stage(config, train, codec, args.out,
                                   resume=args.resume)
@@ -107,7 +102,7 @@ def cmd_pretrain_encoder(args) -> int:
 
 def cmd_warmup_lm(args) -> int:
     config = _load_config(args)
-    _, train, _ = _splits(config, args)
+    _, train, _ = load_splits(config, args.data)
     codec = _load_or_fit_codec(config, args, train)
     info = warmup_lm_stage(config, codec, args.out)
     print(f"warmed up language model (vocab {info['vocab_size']}), final "
@@ -117,7 +112,7 @@ def cmd_warmup_lm(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    _, train, val = _splits(config, args)
+    _, train, val = load_splits(config, args.data)
     codec = _load_or_fit_codec(config, args, train)
     info = train_stage(config, train, val, codec, args.out,
                        from_scratch_encoder=args.from_scratch_encoder)
@@ -131,7 +126,7 @@ def cmd_eval(args) -> int:
     task_ids = args.tasks.split(",") if args.tasks else None
     sidecar = load_sidecar(Path(args.out) / "pipeline.json")
     config = ExperimentConfig.from_json(sidecar["config"])
-    _, train, val = _splits(config, args)
+    _, train, val = load_splits(config, args.data)
     dataset = train if args.split == "train" else val
     report = evaluate_stage(args.out, dataset, task_ids=task_ids,
                             zero_shot=args.zero_shot, train_split=train)
@@ -156,7 +151,7 @@ def cmd_ask(args) -> int:
 
 def cmd_baseline(args) -> int:
     config = _load_config(args)
-    _, train, val = _splits(config, args)
+    _, train, val = load_splits(config, args.data)
     codec = fit_codec_stage(config, train)
     tasks = config.built_tasks()
     if args.tasks:

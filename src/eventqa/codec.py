@@ -3,8 +3,8 @@
 Real-valued features are discretized into equal-frequency intervals whose
 count follows Doane's histogram rule (skewness-adjusted); each value maps to
 an interval's right boundary, clamped at both ends. Categorical and small
-integer features get an index vocabulary with index 0 reserved for
-missing/unknown. Every coded feature owns a trainable embedding table whose
+integer features get an index vocabulary with index 0 reserved for a
+missing value; a value outside the vocabulary raises DataError. Every coded feature owns a trainable embedding table whose
 width follows ceil(1.6 * K ** 0.56) for K possible values; event vectors are
 the concatenation of the per-feature rows.
 """
@@ -108,10 +108,6 @@ class BinningSpec:
                         f"{self.feature}: boundaries must strictly increase")
 
     @property
-    def n_bins(self) -> int:
-        return len(self.boundaries) - 1
-
-    @property
     def n_values(self) -> int:
         """Distinct representative values (boundary count)."""
         return len(self.boundaries)
@@ -169,7 +165,7 @@ def fit_bins(feature: str, samples) -> BinningSpec:
 
 @dataclass
 class Vocabulary:
-    """Value-to-index bijection with index 0 reserved for missing/unknown."""
+    """Value-to-index bijection with index 0 reserved for a missing value."""
 
     feature: str
     values: list
@@ -183,21 +179,14 @@ class Vocabulary:
     def cardinality(self) -> int:
         return len(self.values)
 
-    def index_of(self, value, strict: bool = True) -> int:
+    def index_of(self, value) -> int:
         if value is None:
             return 0
         idx = self._index.get(value)
         if idx is None:
-            if strict:
-                raise DataError(
-                    f"{self.feature}: value {value!r} not in vocabulary")
-            return 0
+            raise DataError(
+                f"{self.feature}: value {value!r} not in vocabulary")
         return idx
-
-    def value_of(self, index: int):
-        if index == 0:
-            return None
-        return self.values[index - 1]
 
     def to_json(self) -> dict:
         return {"feature": self.feature, "values": self.values}
@@ -241,17 +230,16 @@ class FeatureCodec:
     def dim(self) -> int:
         return embedding_dim(self.n_values)
 
-    def encode_column(self, column: list, strict: bool = True) -> np.ndarray:
+    def encode_column(self, column: list) -> np.ndarray:
         """int64 codes of raw values in one pass; ``None`` codes to 0.
 
         A binned value codes to ``discretize(x)[1] + 1``. A value missing
-        from the vocabulary raises DataError when ``strict`` and codes to 0
-        otherwise.
+        from the vocabulary raises DataError.
         """
         if self.vocab is not None:
             lookup = self.vocab._index.get
             codes = [0 if v is None else lookup(v, 0) for v in column]
-            if strict and 0 in codes:
+            if 0 in codes:
                 for v, c in zip(column, codes):
                     if c == 0 and v is not None:
                         raise DataError(f"{self.vocab.feature}: value {v!r} "
@@ -264,14 +252,6 @@ class FeatureCodec:
         codes = np.minimum(np.searchsorted(b, x, side="left"), len(b) - 1) + 1
         codes[[v is None for v in column]] = 0
         return codes
-
-    def decode(self, index: int):
-        """Representative raw value for a coded index (None for reserved)."""
-        if index == 0:
-            return None
-        if self.vocab is not None:
-            return self.vocab.value_of(index)
-        return self.bins.boundaries[index - 1]
 
     def to_json(self) -> dict:
         out: dict = {"spec": self.spec.to_json()}
@@ -335,7 +315,7 @@ class DatasetCodec:
     def event_dim(self) -> int:
         return sum(self.codecs[f].dim for f in self.feature_names)
 
-    def encode_batch(self, seqs: list[EventSequence], strict: bool = True,
+    def encode_batch(self, seqs: list[EventSequence],
                      ) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """Left-aligned padded index matrices plus a (B, I) validity mask;
         each feature's values across the batch are coded in one call."""
@@ -351,7 +331,7 @@ class DatasetCodec:
             column = [v for seq in seqs for v in seq.feature_column(spec)]
             batch[spec.name] = np.zeros(valid.shape, dtype=np.int64)
             batch[spec.name][valid] = self.codecs[spec.name].encode_column(
-                column, strict)
+                column)
         return batch, valid.astype(np.float64)
 
     def to_json(self) -> dict:

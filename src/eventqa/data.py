@@ -74,7 +74,7 @@ class FeatureSpec:
 
     name: str
     kind: str
-    values: tuple | None = None     # declared vocabulary, enables strict loading
+    values: tuple | None = None     # declared vocabulary, checked at load
     cardinality: int | None = None
     unit: str | None = None
     derive: str | None = None       # time_derived only
@@ -230,8 +230,8 @@ class Dataset:
 # JSONL serialization
 
 
-def _check_value(spec: FeatureSpec, value, client_id: str, line_no: int,
-                 strict: bool) -> None:
+def _check_value(spec: FeatureSpec, value, client_id: str,
+                 line_no: int) -> None:
     if value is None:
         return
     if spec.kind == CATEGORICAL:
@@ -239,7 +239,7 @@ def _check_value(spec: FeatureSpec, value, client_id: str, line_no: int,
             raise DataError(
                 f"line {line_no}: client {client_id!r}: feature {spec.name!r} "
                 f"expects a categorical value, got {type(value).__name__}")
-        if strict and spec.values is not None and value not in spec.values:
+        if spec.values is not None and value not in spec.values:
             raise DataError(
                 f"line {line_no}: client {client_id!r}: value {value!r} not in "
                 f"the declared vocabulary of {spec.name!r}")
@@ -275,7 +275,7 @@ def save_jsonl(dataset: Dataset, path: str | Path) -> None:
     atomic_write_text(Path(path), dataset_to_jsonl(dataset))
 
 
-def load_jsonl(path: str | Path, schema: Schema, strict: bool = True,
+def load_jsonl(path: str | Path, schema: Schema,
                split: str = "train") -> Dataset:
     """Parse and validate one JSON object per line into a Dataset.
 
@@ -327,15 +327,13 @@ def load_jsonl(path: str | Path, schema: Schema, strict: bool = True,
                 timestamps.append(ev["t"])
                 for spec in schema.stored_features:
                     value = ev.get(spec.name)
-                    _check_value(spec, value, client_id, line_no, strict)
+                    _check_value(spec, value, client_id, line_no)
                     columns[spec.name].append(value)
-            for prev, cur in zip(timestamps, timestamps[1:]):
-                if cur <= prev:
-                    raise DataError(
-                        f"line {line_no}: client {client_id!r}: timestamps not "
-                        f"strictly increasing ({prev} then {cur})")
-            sequences.append(EventSequence(
-                client_id, timestamps, columns, obj.get("targets", {})))
+            try:
+                sequences.append(EventSequence(
+                    client_id, timestamps, columns, obj.get("targets", {})))
+            except DataError as e:
+                raise DataError(f"line {line_no}: {e}") from None
     return Dataset(schema, sequences, split=split)
 
 

@@ -1,11 +1,10 @@
-"""Sequence encoders over embedded events, plus next-event prediction heads.
+"""The event encoder over embedded events, plus next-event prediction heads.
 
-The default encoder is a causal (decoder-style) transformer: a linear
-projection lifts concatenated feature embeddings to the model width, learned
-absolute position embeddings are added, and masked self-attention blocks
-ensure output row i depends on events 0..i only. GRU and LSTM variants expose
-the same encode contract. Pretraining predicts each feature of event i+1 from
-output row i with one classification head per feature.
+The encoder is a causal (decoder-style) transformer: a linear projection
+lifts concatenated feature embeddings to the model width, learned absolute
+position embeddings are added, and masked self-attention blocks ensure output
+row i depends on events 0..i only. Pretraining predicts each feature of event
+i+1 from output row i with one classification head per feature.
 """
 
 from __future__ import annotations
@@ -20,12 +19,9 @@ from .autodiff import Tensor
 from .codec import DatasetCodec, EventEmbedder
 from .errors import ConfigError, JsonConfig
 
-ARCHITECTURES = ("causal_transformer", "gru", "lstm")
-
 
 @dataclass
 class EncoderConfig(JsonConfig):
-    architecture: str = "causal_transformer"
     layers: int = 2
     d_model: int = 32
     heads: int = 4
@@ -33,11 +29,7 @@ class EncoderConfig(JsonConfig):
     max_positions: int = 64
 
     def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ConfigError(f"unknown encoder architecture "
-                              f"{self.architecture!r}")
-        if self.architecture == "causal_transformer" and \
-                self.d_model % self.heads != 0:
+        if self.d_model % self.heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.layers < 1 or self.max_positions < 1:
@@ -45,7 +37,7 @@ class EncoderConfig(JsonConfig):
 
 
 class EventEncoder(nn.Module):
-    """Input projection plus a causal or recurrent sequence model.
+    """Input projection plus a causal transformer.
 
     ``encode`` maps (B, I, event_dim) embeddings to (B, I, d_model); row i is
     a function of rows 0..i only, so left-aligned padding cannot leak into
@@ -58,18 +50,11 @@ class EventEncoder(nn.Module):
         self.config = config
         self.event_dim = event_dim
         self.projection = nn.Linear(event_dim, config.d_model, rng)
-        if config.architecture == "causal_transformer":
-            self.pos = nn.Embedding(config.max_positions, config.d_model, rng)
-            self.blocks = nn.ModuleList([
-                nn.TransformerBlock(config.d_model, config.heads, config.d_ff, rng)
-                for _ in range(config.layers)])
-            self.ln_f = nn.LayerNorm(config.d_model)
-        else:
-            self.cells = nn.ModuleList([
-                _GruLayer(config.d_model, config.d_model, rng)
-                if config.architecture == "gru"
-                else _LstmLayer(config.d_model, config.d_model, rng)
-                for _ in range(config.layers)])
+        self.pos = nn.Embedding(config.max_positions, config.d_model, rng)
+        self.blocks = nn.ModuleList([
+            nn.TransformerBlock(config.d_model, config.heads, config.d_ff, rng)
+            for _ in range(config.layers)])
+        self.ln_f = nn.LayerNorm(config.d_model)
 
     def project_inputs(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.event_dim:
@@ -90,72 +75,11 @@ class EventEncoder(nn.Module):
                 f"sequence length {length} exceeds max positions "
                 f"{self.config.max_positions}; truncate upstream")
         x = self.project_inputs(embeddings)
-        if self.config.architecture == "causal_transformer":
-            positions = np.arange(length)[None, :]
-            x = ad.add(x, self.pos(positions))
-            mask = nn.causal_mask(length)
-            for block in self.blocks:
-                x = block(x, mask=mask)
-            return self.ln_f(x)
-        for cell in self.cells:
-            x = cell(x)
-        return x
-
-
-class _GruLayer(nn.Module):
-    """Single unidirectional GRU layer, batch-major sequences."""
-
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
-        super().__init__()
-        self.d_out = d_out
-        self.wx = nn.Linear(d_in, 3 * d_out, rng)
-        self.wh = nn.Linear(d_out, 2 * d_out, rng, bias=False)
-        self.wc = nn.Linear(d_out, d_out, rng, bias=False)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        b, length, _ = x.shape
-        d = self.d_out
-        h = Tensor(np.zeros((b, d)))
-        gates_x = self.wx(x)
-        outputs = []
-        for t in range(length):
-            gx = gates_x[:, t, :]
-            gh = self.wh(h)
-            z = ad.sigmoid(ad.add(gx[:, 0:d], gh[:, 0:d]))
-            r = ad.sigmoid(ad.add(gx[:, d:2 * d], gh[:, d:2 * d]))
-            cand = ad.tanh(ad.add(gx[:, 2 * d:3 * d], self.wc(ad.mul(r, h))))
-            one_minus_z = ad.sub(Tensor(1.0), z)
-            h = ad.add(ad.mul(one_minus_z, h), ad.mul(z, cand))
-            outputs.append(h)
-        return ad.stack(outputs, axis=1)
-
-
-class _LstmLayer(nn.Module):
-    """Single unidirectional LSTM layer, batch-major sequences."""
-
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
-        super().__init__()
-        self.d_out = d_out
-        self.wx = nn.Linear(d_in, 4 * d_out, rng)
-        self.wh = nn.Linear(d_out, 4 * d_out, rng, bias=False)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        b, length, _ = x.shape
-        d = self.d_out
-        h = Tensor(np.zeros((b, d)))
-        c = Tensor(np.zeros((b, d)))
-        gates_x = self.wx(x)
-        outputs = []
-        for t in range(length):
-            g = ad.add(gates_x[:, t, :], self.wh(h))
-            i = ad.sigmoid(g[:, 0:d])
-            f = ad.sigmoid(g[:, d:2 * d])
-            o = ad.sigmoid(g[:, 2 * d:3 * d])
-            cand = ad.tanh(g[:, 3 * d:4 * d])
-            c = ad.add(ad.mul(f, c), ad.mul(i, cand))
-            h = ad.mul(o, ad.tanh(c))
-            outputs.append(h)
-        return ad.stack(outputs, axis=1)
+        x = ad.add(x, self.pos(np.arange(length)[None, :]))
+        mask = nn.causal_mask(length)
+        for block in self.blocks:
+            x = block(x, mask=mask)
+        return self.ln_f(x)
 
 
 class NextEventHeads(nn.Module):

@@ -275,20 +275,18 @@ class ToyLm(nn.Module):
     # ------------------------------------------------------------------
     # generation
 
-    def generate(self, mm: MultimodalInput,
-                 max_new_tokens: int | None = None
+    def generate(self, mm: MultimodalInput
                  ) -> tuple[list[str], list[np.ndarray]]:
-        """Greedy decode. Returns per-row text plus the per-step next-token
-        distributions, one (batch, vocab) array per step (step 0 first)."""
-        limit = max_new_tokens or (self.config.max_output_len - 1)
-        limit = min(limit, self.config.max_output_len - 1)
+        """Greedy decode of up to ``max_output_len - 1`` tokens. Returns
+        per-row text plus the per-step next-token distributions, one
+        (batch, vocab) array per step (step 0 first)."""
         b = mm.batch
         with ad.no_grad():
             enc_out, enc_valid = self.encode(mm)
             rows = np.full((b, 1), BOS, dtype=np.int64)
             done = np.zeros(b, dtype=bool)
             distributions: list[np.ndarray] = []
-            for _ in range(limit):
+            for _ in range(self.config.max_output_len - 1):
                 logits = self.decode(rows, enc_out, enc_valid)
                 last = logits.data[:, -1, :]
                 shifted = last - last.max(axis=-1, keepdims=True)

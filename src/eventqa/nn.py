@@ -86,13 +86,12 @@ class Linear(Module):
     """Affine map x @ w + b applied to the last axis."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 bias: bool = True, scale: float | None = None,
-                 zeros: bool = False):
+                 scale: float | None = None, zeros: bool = False):
         super().__init__()
         self.d_in = d_in
         self.d_out = d_out
         self.w = param(rng, (d_in, d_out), scale=scale, zeros=zeros)
-        self.b = param(rng, (d_out,), zeros=True) if bias else None
+        self.b = param(rng, (d_out,), zeros=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.d_in:

@@ -8,45 +8,37 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError, JsonConfig
+from .errors import ConfigError, DataError, JsonConfig
 
 
 @dataclass
 class LrSchedule(JsonConfig):
     """Linear warmup to ``peak_lr`` then cosine decay with warm restarts.
 
-    Cycle ``c`` has length ``cycle_length * restart_multiplier ** c``; within a
-    cycle the rate follows min + 0.5*(peak-min)*(1+cos(pi*tau/T)) where tau is
-    the offset since the last restart. restart_multiplier 1.0 gives
-    fixed-length cycles.
+    Every cycle has ``cycle_length`` steps; within a cycle the rate follows
+    min + 0.5*(peak-min)*(1+cos(pi*tau/T)) where tau is the offset since the
+    last restart.
     """
 
     peak_lr: float
     min_lr: float = 0.0
     warmup_steps: int = 0
     cycle_length: int = 1000
-    restart_multiplier: float = 1.0
 
     def __post_init__(self):
         if self.min_lr < 0 or self.peak_lr < self.min_lr:
             raise ConfigError("need peak_lr >= min_lr >= 0")
         if self.warmup_steps < 0 or self.cycle_length < 1:
             raise ConfigError("warmup_steps >= 0 and cycle_length >= 1 required")
-        if self.restart_multiplier < 1.0:
-            raise ConfigError("restart_multiplier must be >= 1.0")
 
     def lr_at(self, step: int) -> float:
         if step < 0:
             raise ValueError("step must be >= 0")
         if self.warmup_steps > 0 and step < self.warmup_steps:
             return self.peak_lr * (step / self.warmup_steps)
-        tau = step - self.warmup_steps
-        length = float(self.cycle_length)
-        while tau >= length:
-            tau -= length
-            length *= self.restart_multiplier
+        tau = (step - self.warmup_steps) % self.cycle_length
         return self.min_lr + 0.5 * (self.peak_lr - self.min_lr) * (
-            1.0 + math.cos(math.pi * tau / length)
+            1.0 + math.cos(math.pi * tau / self.cycle_length)
         )
 
 
@@ -140,13 +132,19 @@ class AdamW:
         return out
 
     def load_state_tensors(self, tensors: dict[str, np.ndarray], t: int) -> None:
+        """Adopt (no copy) the saved moments of every parameter. As in
+        ``pipeline.load_params``, a missing moment is a damaged file
+        (DataError) and a mis-shaped one belongs to another model
+        (ConfigError)."""
         for name in self.params:
-            m = tensors.get(f"opt.m.{name}")
-            v = tensors.get(f"opt.v.{name}")
-            if m is None or v is None:
-                raise ValueError(f"optimizer state missing for {name}")
-            if m.shape != self.state.m[name].shape:
-                raise ValueError(f"optimizer state shape mismatch for {name}")
-            self.state.m[name] = m.copy()
-            self.state.v[name] = v.copy()
+            for key, moments in ((f"opt.m.{name}", self.state.m),
+                                 (f"opt.v.{name}", self.state.v)):
+                if key not in tensors:
+                    raise DataError(f"optimizer state {key!r} is missing")
+                if tensors[key].shape != moments[name].shape:
+                    raise ConfigError(
+                        f"optimizer state {key!r} has shape "
+                        f"{tensors[key].shape}, the parameter has "
+                        f"{moments[name].shape}")
+                moments[name] = tensors[key]
         self.state.t = t

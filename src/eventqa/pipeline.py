@@ -58,7 +58,6 @@ class StageSchedule(JsonConfig):
     min_lr: float = 0.0
     warmup_steps: int = 30
     cycle_length: int | None = None     # defaults to the post-warmup length
-    restart_multiplier: float = 1.0
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -69,8 +68,7 @@ class StageSchedule(JsonConfig):
         cycle = self.cycle_length or max(total_steps - self.warmup_steps, 1)
         return LrSchedule(peak_lr=self.peak_lr, min_lr=self.min_lr,
                           warmup_steps=min(self.warmup_steps, total_steps),
-                          cycle_length=cycle,
-                          restart_multiplier=self.restart_multiplier)
+                          cycle_length=cycle)
 
 
 @dataclass
@@ -438,7 +436,7 @@ def pretrain_encoder_stage(config: ExperimentConfig, train: Dataset,
 # stage: language-model warm-up
 
 
-def warmup_corpus(tokenizer: Tokenizer, prefix: str) -> list[tuple[str, str]]:
+def warmup_corpus(tokenizer: Tokenizer) -> list[tuple[str, str]]:
     """Pure-text items over the answer vocabulary: echo drills plus Yes/No
     calibration, teaching the decoder to emit every answer token."""
     items: list[tuple[str, str]] = []
@@ -469,7 +467,7 @@ def warmup_lm_stage(config: ExperimentConfig, codec: DatasetCodec,
     rng = np.random.default_rng(derived_seed(config.seed, "warmup"))
     lm = ToyLm(tokenizer, config.lm, rng)
 
-    items = warmup_corpus(tokenizer, config.prefix)
+    items = warmup_corpus(tokenizer)
     n_batches = max(1, math.ceil(len(items) / config.warmup.batch_size))
     prefix_row = np.asarray(tokenizer.tokenize(config.prefix), dtype=np.int64)
 

@@ -12,7 +12,6 @@ truth to the exact text the model is trained to emit.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -89,11 +88,6 @@ class QAPair:
     truth: object
     answer: str
     options: list | None = None
-
-    def to_json(self) -> dict:
-        return {"task": self.task_id, "client_id": self.client_id,
-                "prefix": self.prefix, "body": self.body,
-                "answer": self.answer, "truth": self.truth}
 
 
 # ---------------------------------------------------------------------------
@@ -220,32 +214,13 @@ def _observed(seq: EventSequence, codec: DatasetCodec, feature: str) -> list:
     return [v for v in seq.feature_column(spec) if v is not None]
 
 
-def _mode(values: list):
+def _mode(values: list, pick=max):
+    """The most frequent value, or with ``pick=min`` the least frequent;
+    ties go to the value seen first, and an empty list gives None."""
     counts: dict = {}
-    order: dict = {}
-    for i, v in enumerate(values):
+    for v in values:
         counts[v] = counts.get(v, 0) + 1
-        order.setdefault(v, i)
-    best = None
-    for v, c in counts.items():
-        if best is None or c > counts[best] or \
-                (c == counts[best] and order[v] < order[best]):
-            best = v
-    return best
-
-
-def _least(values: list):
-    counts: dict = {}
-    order: dict = {}
-    for i, v in enumerate(values):
-        counts[v] = counts.get(v, 0) + 1
-        order.setdefault(v, i)
-    best = None
-    for v, c in counts.items():
-        if best is None or c < counts[best] or \
-                (c == counts[best] and order[v] < order[best]):
-            best = v
-    return best
+    return pick(counts, key=counts.get) if counts else None
 
 
 def _numeric_representative(x: float, codec: DatasetCodec, feature: str):
@@ -282,7 +257,7 @@ def ground_truth(task: QATask, seq: EventSequence, codec: DatasetCodec,
         values = _observed(seq, codec, task.feature)
         if not values:
             raise DataError(f"{task.task_id}: no observed values")
-        return _least(values)
+        return _mode(values, min)
     if fam == "is_most_frequent":
         values = _observed(seq, codec, task.feature)
         return int(_mode(values) == slots["value"])
@@ -499,11 +474,6 @@ def build_corpus(dataset: Dataset, tasks: list[QATask], codec: DatasetCodec,
             window = seq.tail(max_len + int(task.holdout_last))
             pairs.append(build_pair(task, window, codec, seed, prefix=prefix))
     return pairs
-
-
-def corpus_to_jsonl(pairs: list[QAPair]) -> str:
-    lines = [json.dumps(p.to_json(), separators=(",", ":")) for p in pairs]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------

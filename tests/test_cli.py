@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from eventqa import pipeline
+from eventqa.checkpoint import load_tensors, save_tensors
 from eventqa.cli import main as cli_main
 from eventqa.codec import DatasetCodec
 from eventqa.data import Dataset, GeneratorConfig
@@ -118,6 +119,9 @@ def test_full_cli_workflow(config_path, tmp_path, capsys):
     ("generate-data", 'tasks=[{"family": "count_events"}]', ["'id'"]),
     ("generate-data", 'generator.features=[{"name": "c"}]',
      ["'generator'", "feature 0", "'kind'"]),
+    ("generate-data", "encoder.architecture=gru", ["'encoder'", "architecture"]),
+    ("pretrain-encoder", "pretrain.restart_multiplier=2.0",
+     ["'pretrain'", "restart_multiplier"]),
 ])
 def test_bad_nested_config_value_exits_2(config_path, tmp_path, capsys,
                                          command, override, named):
@@ -214,6 +218,30 @@ def test_refitted_codec_exits_2(trained_run, config_path, tmp_path, capsys,
     err = capsys.readouterr().err
     assert "config error" in err and "does not match the model" in err
     assert checkpoint in err and "embedder.tables" in err
+
+
+@pytest.mark.parametrize("damage,code,kind", [
+    (lambda m: None, 3, "data error"),
+    (lambda m: m[:-1], 2, "config error"),
+], ids=["missing", "misshaped"])
+def test_damaged_optimizer_moment_on_resume(trained_run, config_path,
+                                            tmp_path, capsys, damage, code,
+                                            kind):
+    """A resume checkpoint without an Adam moment is a damaged file (3); one
+    whose moment does not fit its parameter belongs to another model (2)."""
+    out = tmp_path / "run"
+    shutil.copytree(trained_run, out)
+    tensors = dict(load_tensors(out / "encoder.bin"))
+    key = next(k for k in tensors if k.startswith("opt.m.embedder."))
+    moment = damage(tensors.pop(key))
+    if moment is not None:
+        tensors[key] = moment
+    save_tensors(out / "encoder.bin", tensors)
+    assert cli_main(["pretrain-encoder", "--resume", "--config",
+                     str(config_path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert kind in err and repr(key) in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("damage,named", [

@@ -51,7 +51,7 @@ class TestDoane:
 
     def test_constant_sample_one_bin(self):
         spec = fit_bins("x", [4.2] * 17)
-        assert spec.n_bins == 1
+        assert spec.n_values == 2
         assert spec.boundaries == [4.2, 4.2]
 
     def test_tiny_sample_fallback(self):
@@ -77,7 +77,7 @@ class TestDoane:
         sample = rng.normal(size=500)
         assert np.unique(sample).size == sample.size
         spec = fit_bins("x", sample)
-        n = spec.n_bins
+        n = len(spec.boundaries) - 1
         # count points mapped into each interval (b[i-1], b[i]] by index
         idx = [spec.discretize(float(x))[1] for x in sample]
         counts = np.bincount(idx, minlength=n + 1)
@@ -166,13 +166,12 @@ class TestVocabulary:
         assert sorted(indices.values()) == [1, 2, 3]
         assert vocab.index_of(None) == 0
         for v, i in indices.items():
-            assert vocab.value_of(i) == v
+            assert vocab.values[i - 1] == v
 
-    def test_strict_unknown_raises_open_maps_to_zero(self):
+    def test_unknown_raises(self):
         vocab = fit_vocabulary("f", ["a", "b"])
         with pytest.raises(DataError, match="zz"):
-            vocab.index_of("zz", strict=True)
-        assert vocab.index_of("zz", strict=False) == 0
+            vocab.index_of("zz")
 
     def test_declared_values_take_precedence(self):
         vocab = fit_vocabulary("f", ["b"], declared=("x", "y", "z"))
@@ -243,28 +242,28 @@ class TestDatasetCodec:
         assert all(enc[f][0] == 0 for f in codec.feature_names)
 
 
-def encode_sequence(codec, seq, strict=True):
+def encode_sequence(codec, seq):
     """Feature name -> int index array of length len(seq): a batch of one."""
-    batch, _ = codec.encode_batch([seq], strict)
+    batch, _ = codec.encode_batch([seq])
     return {f: codes[0] for f, codes in batch.items()}
 
 
-def embed_sequence(emb, codec, seq, strict=True):
+def embed_sequence(emb, codec, seq):
     """(len(seq), D) matrix, row i embedding event i."""
-    return emb.embed_indices(encode_sequence(codec, seq, strict=strict))
+    return emb.embed_indices(encode_sequence(codec, seq))
 
 
-def embed_event(emb, codec, seq, position, strict=True):
+def embed_event(emb, codec, seq, position):
     """(D,) embedding of event ``position`` of ``seq``."""
-    encoded = encode_sequence(codec, seq, strict=strict)
+    encoded = encode_sequence(codec, seq)
     one = {f: encoded[f][position:position + 1] for f in codec.feature_names}
     return ad.reshape(emb.embed_indices(one), (codec.event_dim,))
 
 
-def per_value_codes(fc, column, strict=True):
+def per_value_codes(fc, column):
     """Reference coding of a column, one value at a time."""
     if fc.vocab is not None:
-        return [fc.vocab.index_of(v, strict=strict) for v in column]
+        return [fc.vocab.index_of(v) for v in column]
     return [0 if v is None else fc.bins.discretize(float(v))[1] + 1
             for v in column]
 
@@ -337,28 +336,25 @@ class TestEncodeColumn:
                     max_size=20))
     def test_vocabulary_column_matches_index_of(self, column):
         fc = self.vocab_codec()
-        got = fc.encode_column(column, strict=False)
-        assert got.dtype == np.int64
-        assert got.tolist() == per_value_codes(fc, column, strict=False)
         if "zz" in column:
             with pytest.raises(DataError, match="'zz' not in vocabulary"):
-                fc.encode_column(column, strict=True)
+                fc.encode_column(column)
         else:
-            assert fc.encode_column(column).tolist() == got.tolist()
+            got = fc.encode_column(column)
+            assert got.dtype == np.int64
+            assert got.tolist() == per_value_codes(fc, column)
 
-    def test_unknown_value_strict_errors_else_zero(self):
+    def test_unknown_value_raises(self):
         fc = self.vocab_codec()
         with pytest.raises(DataError, match="cat: value 'zz'"):
             fc.encode_column(["a", "zz", None])
-        assert fc.encode_column(["a", "zz", None],
-                                strict=False).tolist() == [1, 0, 0]
 
     @pytest.mark.parametrize("bounds", [[0.0, 10.0, 20.0], [3.0, 3.0]])
     def test_nan_raises(self, bounds):
         fc = FeatureCodec(FeatureSpec("x", "real"),
                           bins=BinningSpec("x", bounds))
         with pytest.raises(DataError, match="x: cannot discretize NaN"):
-            fc.encode_column([1.0, float("nan")], strict=False)
+            fc.encode_column([1.0, float("nan")])
 
     def test_encode_batch_matches_per_value_reference(self):
         ds = small_dataset()
@@ -485,9 +481,7 @@ class TestEventEmbedder:
         seq = EventSequence("u", [1], {"category": ["zz"], "count": [0],
                                        "amount": [1.0]})
         with pytest.raises(DataError, match="zz"):
-            embed_sequence(emb, codec, seq, strict=True)
-        out = embed_sequence(emb, codec, seq, strict=False)
-        assert out.shape == (1, codec.event_dim)
+            embed_sequence(emb, codec, seq)
 
     def test_tables_are_trainable(self):
         _, _, emb = self.build()

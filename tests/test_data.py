@@ -60,8 +60,6 @@ class TestLoadJsonl:
         path = write_lines(tmp_path, [line])
         with pytest.raises(DataError, match="zz"):
             load_jsonl(path, toy_schema())
-        ds = load_jsonl(path, toy_schema(), strict=False)
-        assert ds.sequences[0].values["category"][1] == "zz"
 
     def test_type_mismatch_reported_with_line(self, tmp_path):
         line = valid_line()

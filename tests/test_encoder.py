@@ -7,15 +7,14 @@ from eventqa import autodiff as ad
 from eventqa.autodiff import Tensor, backward, grad_check
 from eventqa.codec import DatasetCodec, EventEmbedder
 from eventqa.data import Dataset, EventSequence, FeatureSpec, Schema
-from eventqa.encoder import (ARCHITECTURES, EncoderConfig, EventEncoder,
-                             NextEventHeads, next_event_loss)
+from eventqa.encoder import (EncoderConfig, EventEncoder, NextEventHeads,
+                             next_event_loss)
 from eventqa.errors import ConfigError
 from eventqa.optim import AdamW, OptimizerConfig
 
 
 def tiny_config(**kw):
-    base = dict(architecture="causal_transformer", layers=2, d_model=16,
-                heads=4, d_ff=24, max_positions=12)
+    base = dict(layers=2, d_model=16, heads=4, d_ff=24, max_positions=12)
     base.update(kw)
     return EncoderConfig(**base)
 
@@ -71,18 +70,16 @@ class TestProjection:
 
 
 class TestEncodeContract:
-    @pytest.mark.parametrize("arch", ARCHITECTURES)
-    def test_shape_contract(self, arch):
+    def test_shape_contract(self):
         rng = np.random.default_rng(1)
-        cfg = tiny_config(architecture=arch, d_model=32, heads=4)
+        cfg = tiny_config(d_model=32, heads=4)
         enc = EventEncoder(8, cfg, rng)
         out = enc.encode(Tensor(rng.normal(size=(3, 5, 8))))
         assert out.shape == (3, 5, 32)
 
-    @pytest.mark.parametrize("arch", ARCHITECTURES)
-    def test_single_event_sequence(self, arch):
+    def test_single_event_sequence(self):
         rng = np.random.default_rng(2)
-        enc = EventEncoder(8, tiny_config(architecture=arch), rng)
+        enc = EventEncoder(8, tiny_config(), rng)
         out = enc.encode(Tensor(rng.normal(size=(1, 1, 8))))
         assert out.shape == (1, 1, 16)
 
@@ -92,11 +89,10 @@ class TestEncodeContract:
         with pytest.raises(ConfigError, match="max positions"):
             enc.encode(Tensor(np.zeros((1, 5, 8))))
 
-    @pytest.mark.parametrize("arch", ARCHITECTURES)
-    def test_causality_bit_identical(self, arch):
+    def test_causality_bit_identical(self):
         """Perturbing event j leaves outputs at positions < j untouched."""
         rng = np.random.default_rng(4)
-        enc = EventEncoder(8, tiny_config(architecture=arch), rng)
+        enc = EventEncoder(8, tiny_config(), rng)
         x = rng.normal(size=(2, 6, 8))
         with ad.no_grad():
             base = enc.encode(Tensor(x)).data.copy()
@@ -120,11 +116,10 @@ class TestEncodeContract:
             b = enc.encode(Tensor(perturbed)).data
         assert np.array_equal(a[:, :pos, :], b[:, :pos, :])
 
-    @pytest.mark.parametrize("arch", ARCHITECTURES)
-    def test_batch_invariance_with_padding(self, arch):
+    def test_batch_invariance_with_padding(self):
         """A sequence encodes the same alone and inside a padded batch."""
         rng = np.random.default_rng(5)
-        enc = EventEncoder(8, tiny_config(architecture=arch), rng)
+        enc = EventEncoder(8, tiny_config(), rng)
         short = rng.normal(size=(1, 3, 8))
         long = rng.normal(size=(1, 7, 8))
         padded = np.zeros((2, 7, 8))
@@ -218,34 +213,6 @@ class TestNextEventPretraining:
         report = grad_check(fn, params, tolerance=1e-4, max_entries=40)
         assert report["passed"], report["failures"][:3]
 
-    def test_gru_gradient_check(self):
-        ds = cat_dataset(n_clients=2, n_events=3, k=2, seed=6)
-        codec, emb, enc, heads = self.build(
-            ds, architecture="gru", d_model=6, layers=1)
-        batch, mask = codec.encode_batch(ds.sequences)
-        params = dict(enc.parameters("enc."))
-
-        def fn():
-            loss, _ = next_event_loss(enc, heads, emb, batch, mask)
-            return loss
-
-        report = grad_check(fn, params, tolerance=1e-4, max_entries=40)
-        assert report["passed"], report["failures"][:3]
-
-    def test_lstm_gradient_check(self):
-        ds = cat_dataset(n_clients=2, n_events=3, k=2, seed=7)
-        codec, emb, enc, heads = self.build(
-            ds, architecture="lstm", d_model=6, layers=1)
-        batch, mask = codec.encode_batch(ds.sequences)
-        params = dict(enc.parameters("enc."))
-
-        def fn():
-            loss, _ = next_event_loss(enc, heads, emb, batch, mask)
-            return loss
-
-        report = grad_check(fn, params, tolerance=1e-4, max_entries=40)
-        assert report["passed"], report["failures"][:3]
-
 
 class TestConfig:
     def test_heads_must_divide_width(self):
@@ -253,9 +220,12 @@ class TestConfig:
             tiny_config(d_model=10, heads=4)
 
     def test_unknown_architecture(self):
-        with pytest.raises(ConfigError):
-            tiny_config(architecture="attention-free")
+        """The encoder is always the causal transformer; a config that
+        names an architecture is rejected."""
+        payload = tiny_config().to_json() | {"architecture": "gru"}
+        with pytest.raises(ConfigError, match="architecture"):
+            EncoderConfig.from_json(payload)
 
     def test_json_roundtrip(self):
-        cfg = tiny_config(architecture="gru", layers=3)
+        cfg = tiny_config(layers=3)
         assert EncoderConfig.from_json(cfg.to_json()) == cfg

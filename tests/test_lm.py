@@ -328,9 +328,9 @@ class TestGeneration:
         assert -1.0 <= score <= 1.0
 
     def test_generation_stops_at_eos_limit(self):
-        lm = tiny_lm(seed=17)
+        lm = tiny_lm(seed=17, max_output_len=4)
         mm = one_row(lm, "Given the history", "Answer yes.", None)
-        texts, steps = lm.generate(mm, max_new_tokens=3)
+        texts, steps = lm.generate(mm)
         assert len(steps) <= 3
 
 

@@ -107,7 +107,7 @@ class TestLrSchedule:
 
     def test_never_negative_and_at_least_min(self):
         s = LrSchedule(peak_lr=0.3, min_lr=0.05, warmup_steps=4,
-                       cycle_length=13, restart_multiplier=2.0)
+                       cycle_length=13)
         for step in range(0, 200):
             lr = s.lr_at(step)
             assert lr >= 0.0
@@ -120,12 +120,6 @@ class TestLrSchedule:
         assert s.lr_at(10) == pytest.approx(0.3)  # restart at cycle end
         assert s.lr_at(20) == pytest.approx(0.3)
 
-    def test_restart_multiplier_stretches_cycles(self):
-        s = LrSchedule(peak_lr=1.0, min_lr=0.0, warmup_steps=0,
-                       cycle_length=10, restart_multiplier=2.0)
-        # second cycle spans steps 10..30, so its midpoint is step 20
-        assert s.lr_at(20) == pytest.approx(0.5, abs=1e-12)
-
     def test_negative_step_rejected(self):
         s = LrSchedule(peak_lr=1.0)
         with pytest.raises(ValueError):
@@ -135,9 +129,9 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             LrSchedule(peak_lr=0.1, min_lr=0.2)
         with pytest.raises(ValueError):
-            LrSchedule(peak_lr=0.1, restart_multiplier=0.5)
+            LrSchedule(peak_lr=0.1, cycle_length=0)
 
     def test_json_roundtrip(self):
         s = LrSchedule(peak_lr=0.3, min_lr=0.01, warmup_steps=5,
-                       cycle_length=50, restart_multiplier=1.5)
+                       cycle_length=50)
         assert LrSchedule.from_json(s.to_json()) == s

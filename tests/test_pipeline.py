@@ -112,7 +112,7 @@ class TestStages:
         pairs = build_corpus(train, trained_tasks, codec,
                              derived_seed(cfg.seed, "corpus"), cfg.prefix,
                              cfg.min_seq_len, cfg.max_seq_len)
-        items = warmup_corpus(build_tokenizer(cfg, codec), cfg.prefix)
+        items = warmup_corpus(build_tokenizer(cfg, codec))
         # batches of 7 leave a partial last batch in every stage
         cfg7 = tiny_experiment(**{key: StageSchedule(
             epochs=2, batch_size=7, peak_lr=3e-3, warmup_steps=4)
