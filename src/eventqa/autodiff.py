@@ -256,7 +256,8 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Row lookup ``table[indices]`` with scatter-add gradient."""
+    """Row lookup ``table[indices]`` with scatter-add gradient; a row may
+    have any shape (``table.shape[1:]``)."""
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise IndexError(
@@ -268,7 +269,8 @@ def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
     def backward(g):
         if table.requires_grad:
             full = np.zeros_like(table.data)
-            np.add.at(full, idx.reshape(-1), g.reshape(-1, table.shape[-1]))
+            np.add.at(full, idx.reshape(-1),
+                      g.reshape((-1,) + table.shape[1:]))
             table.accumulate_grad(full, owned=True)
 
     return _make(data, (table,), backward)

@@ -114,8 +114,7 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     _, train, val = load_splits(config, args.data)
     codec = _load_or_fit_codec(config, args, train)
-    info = train_stage(config, train, val, codec, args.out,
-                       from_scratch_encoder=args.from_scratch_encoder)
+    info = train_stage(config, train, val, codec, args.out)
     print(f"trained pipeline: final loss {info['final_loss']:.4f}, "
           f"validation parseable rate {info['val_parseable_rate']:.3f}; "
           f"checkpoint {info['checkpoint']}")
@@ -221,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="end-to-end fine-tuning (frozen LM + LoRA)")
     common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--from-scratch-encoder", action="store_true",
-                   help="skip loading the pretrained encoder checkpoint")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a trained pipeline")

@@ -287,9 +287,12 @@ def load_jsonl(path: str | Path, schema: Schema,
         raise DataError(f"no such dataset file: {path}")
     sequences = []
     seen_clients: set[str] = set()
-    with path.open() as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    with path.open("rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise DataError(f"line {line_no}: not UTF-8: {e}") from None
             if not line:
                 continue
             try:
@@ -300,6 +303,9 @@ def load_jsonl(path: str | Path, schema: Schema,
                 raise DataError(
                     f"line {line_no}: expected an object with client_id and events")
             client_id = obj["client_id"]
+            if not isinstance(client_id, str):
+                raise DataError(f"line {line_no}: client_id must be a string, "
+                                f"got {client_id!r}")
             if client_id in seen_clients:
                 raise DataError(f"line {line_no}: duplicate client_id {client_id!r}")
             seen_clients.add(client_id)
@@ -308,10 +314,19 @@ def load_jsonl(path: str | Path, schema: Schema,
                 raise DataError(
                     f"line {line_no}: client {client_id!r}: events must be a "
                     f"non-empty array")
+            targets = obj.get("targets")
+            if targets is not None and not isinstance(targets, dict):
+                raise DataError(
+                    f"line {line_no}: client {client_id!r}: targets must be an "
+                    f"object, got {targets!r}")
             known = {s.name for s in schema.stored_features}
             timestamps = []
             columns: dict[str, list] = {s.name: [] for s in schema.stored_features}
             for ev in events:
+                if not isinstance(ev, dict):
+                    raise DataError(
+                        f"line {line_no}: client {client_id!r}: an event must "
+                        f"be an object, got {ev!r}")
                 if "t" not in ev:
                     raise DataError(
                         f"line {line_no}: client {client_id!r}: event missing 't'")
@@ -331,7 +346,7 @@ def load_jsonl(path: str | Path, schema: Schema,
                     columns[spec.name].append(value)
             try:
                 sequences.append(EventSequence(
-                    client_id, timestamps, columns, obj.get("targets", {})))
+                    client_id, timestamps, columns, targets))
             except DataError as e:
                 raise DataError(f"line {line_no}: {e}") from None
     return Dataset(schema, sequences, split=split)

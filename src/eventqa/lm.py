@@ -12,6 +12,7 @@ projections of every attention sublayer while the base weights stay frozen.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,26 +149,26 @@ def pad_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class MultimodalInput:
-    """Assembled encoder input: text, delimiters, and injected event rows."""
+class TokenRows:
+    """Token rows of a batch, each padded with PAD to the batch's longest."""
 
-    prefix_ids: np.ndarray          # (B, P)
-    body_ids: np.ndarray            # (B, T_body) padded with PAD
-    body_valid: np.ndarray          # (B, T_body)
-    injected: Tensor | None         # (B, q, d_model) or None for q = 0
+    prefix_ids: np.ndarray          # (B, P), one prefix for every row
+    body_ids: np.ndarray            # (B, T_body)
+    body_valid: np.ndarray          # (B, T_body), 1.0 on real tokens
+    answer_ids: np.ndarray          # (B, T_answer), answer tokens then EOS
+    answer_valid: np.ndarray        # (B, T_answer)
 
-    @property
-    def batch(self) -> int:
-        return self.prefix_ids.shape[0]
 
-    @property
-    def n_injected(self) -> int:
-        return 0 if self.injected is None else self.injected.shape[1]
-
-    @property
-    def length(self) -> int:
-        return (self.prefix_ids.shape[1] + 1 + self.n_injected + 1
-                + self.body_ids.shape[1])
+def token_rows(tokenizer: Tokenizer, prefix: str, bodies: Sequence[str],
+               answers: Sequence[str]) -> TokenRows:
+    """The text side of a batch: ``prefix`` on every row, one body and one
+    answer (followed by EOS) per row."""
+    body_ids, body_valid = pad_rows([tokenizer.tokenize(b) for b in bodies])
+    answer_ids, answer_valid = pad_rows(
+        [tokenizer.tokenize(a) + [EOS] for a in answers])
+    prefix_ids = np.tile(np.asarray(tokenizer.tokenize(prefix), dtype=np.int64),
+                         (len(body_ids), 1))
+    return TokenRows(prefix_ids, body_ids, body_valid, answer_ids, answer_valid)
 
 
 class ToyLm(nn.Module):
@@ -196,48 +197,37 @@ class ToyLm(nn.Module):
         self.lm_head = nn.Linear(d, tokenizer.size, rng)
 
     # ------------------------------------------------------------------
-    # input assembly
+    # encoder
 
-    def batch_inputs(self, prefix_ids: np.ndarray, body_ids: np.ndarray,
-                     body_valid: np.ndarray,
-                     injected: Tensor | None) -> MultimodalInput:
-        """Stream [prefix][<seq>][q rows][</seq>][body] for every row."""
+    def encode(self, text: TokenRows, injected: Tensor | None
+               ) -> tuple[Tensor, np.ndarray]:
+        """Encoder states of the stream [prefix][<seq>][q injected rows]
+        [</seq>][body] of every row, and the stream's validity mask.
+        ``injected`` is (B, q, d_model), or None for q = 0."""
+        b, p = text.prefix_ids.shape
         if injected is not None and (
                 injected.ndim != 3 or injected.shape[2] != self.config.d_model):
             raise ConfigError(
                 f"injected rows must be (batch, q, {self.config.d_model}), "
                 f"got {injected.shape}")
-        mm = MultimodalInput(prefix_ids, body_ids, body_valid, injected)
-        if mm.length > self.config.max_input_len:
+        q = 0 if injected is None else injected.shape[1]
+        length = p + 1 + q + 1 + text.body_ids.shape[1]
+        if length > self.config.max_input_len:
             raise ConfigError(
-                f"input stream of {mm.length} tokens (prefix "
-                f"{prefix_ids.shape[1]} + 2 delimiters + {mm.n_injected} "
-                f"injected + body {body_ids.shape[1]}) exceeds max input "
-                f"length {self.config.max_input_len}")
-        return mm
-
-    def _assemble(self, mm: MultimodalInput) -> tuple[Tensor, np.ndarray]:
-        b = mm.batch
-        parts = [self.tok_emb(mm.prefix_ids)]
+                f"input stream of {length} tokens (prefix {p} + 2 delimiters "
+                f"+ {q} injected + body {text.body_ids.shape[1]}) exceeds max "
+                f"input length {self.config.max_input_len}")
         ones = Tensor(np.ones((b, 1, 1)))
         marker_open = ad.mul(ad.reshape(self.inj_markers[0:1, :], (1, 1, -1)), ones)
         marker_close = ad.mul(ad.reshape(self.inj_markers[1:2, :], (1, 1, -1)), ones)
-        parts.append(marker_open)
-        if mm.injected is not None:
-            parts.append(mm.injected)
-        parts.append(marker_close)
-        parts.append(self.tok_emb(mm.body_ids))
-        stream = ad.concat(parts, axis=1)
-        valid = np.concatenate([
-            np.ones((b, mm.prefix_ids.shape[1] + 1)),
-            np.ones((b, mm.n_injected + 1)),
-            mm.body_valid], axis=1)
-        return stream, valid
-
-    def encode(self, mm: MultimodalInput) -> tuple[Tensor, np.ndarray]:
-        stream, valid = self._assemble(mm)
-        length = stream.shape[1]
-        x = ad.add(stream, self.pos_enc(np.arange(length)[None, :]))
+        parts = [self.tok_emb(text.prefix_ids), marker_open]
+        if injected is not None:
+            parts.append(injected)
+        parts += [marker_close, self.tok_emb(text.body_ids)]
+        valid = np.concatenate([np.ones((b, p + q + 2)), text.body_valid],
+                               axis=1)
+        x = ad.add(ad.concat(parts, axis=1),
+                   self.pos_enc(np.arange(length)[None, :]))
         mask = nn.padding_mask(valid)
         for block in self.enc_blocks:
             x = block(x, mask=mask)
@@ -258,31 +248,28 @@ class ToyLm(nn.Module):
             x = block(x, mask=self_mask, kv=enc_out, kv_mask=cross_mask)
         return self.lm_head(self.dec_ln(x))
 
-    def answer_loss(self, mm: MultimodalInput, answer_ids: np.ndarray,
-                    answer_valid: np.ndarray) -> Tensor:
-        """Cross-entropy of the answer tokens (teacher forcing).
-
-        ``answer_ids`` is (B, T) padded with PAD; each row's real tokens end
-        with EOS. Decoder input is the BOS-shifted sequence.
-        """
-        b, t = answer_ids.shape
+    def answer_loss(self, text: TokenRows, injected: Tensor | None) -> Tensor:
+        """Cross-entropy of the answer tokens (teacher forcing); the decoder
+        input is the BOS-shifted answer row."""
+        answer_ids = text.answer_ids
         dec_in = np.concatenate(
-            [np.full((b, 1), BOS, dtype=np.int64), answer_ids[:, :-1]], axis=1)
-        enc_out, enc_valid = self.encode(mm)
+            [np.full((len(answer_ids), 1), BOS, dtype=np.int64),
+             answer_ids[:, :-1]], axis=1)
+        enc_out, enc_valid = self.encode(text, injected)
         logits = self.decode(dec_in, enc_out, enc_valid)
-        return ad.masked_cross_entropy(logits, answer_ids, answer_valid)
+        return ad.masked_cross_entropy(logits, answer_ids, text.answer_valid)
 
     # ------------------------------------------------------------------
     # generation
 
-    def generate(self, mm: MultimodalInput
+    def generate(self, text: TokenRows, injected: Tensor | None
                  ) -> tuple[list[str], list[np.ndarray]]:
-        """Greedy decode of up to ``max_output_len - 1`` tokens. Returns
-        per-row text plus the per-step next-token distributions, one
-        (batch, vocab) array per step (step 0 first)."""
-        b = mm.batch
+        """Greedy decode of up to ``max_output_len - 1`` tokens; the answer
+        rows are not read. Returns per-row text plus the per-step next-token
+        distributions, one (batch, vocab) array per step (step 0 first)."""
+        b = len(text.prefix_ids)
         with ad.no_grad():
-            enc_out, enc_valid = self.encode(mm)
+            enc_out, enc_valid = self.encode(text, injected)
             rows = np.full((b, 1), BOS, dtype=np.int64)
             done = np.zeros(b, dtype=bool)
             distributions: list[np.ndarray] = []

@@ -40,8 +40,8 @@ from .data import (Dataset, EventSequence, GeneratorConfig, Schema,
 from .encoder import EncoderConfig, EventEncoder, NextEventHeads, next_event_loss
 from .errors import (ConfigError, DataError, DivergenceError, JsonConfig,
                      config_from_json)
-from .lm import (EOS, LoraConfig, Tokenizer, ToyLm, ToyLmConfig, apply_lora,
-                 pad_rows, set_lora_training)
+from .lm import (LoraConfig, Tokenizer, TokenRows, ToyLm, ToyLmConfig,
+                 apply_lora, set_lora_training, token_rows)
 from .metrics import EvalReport, TaskResult, score_baselines, score_task
 from .optim import AdamW, LrSchedule, OptimizerConfig
 from .qa import (DEFAULT_PREFIX, QAPair, QATask, T_BINARY, Unparseable,
@@ -89,7 +89,7 @@ class ExperimentConfig(JsonConfig):
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     pretrain: StageSchedule = field(default_factory=StageSchedule)
     warmup: StageSchedule = field(default_factory=lambda: StageSchedule(
-        epochs=30, batch_size=32, peak_lr=3e-3, warmup_steps=20))
+        epochs=30, warmup_steps=20))
     train: StageSchedule = field(default_factory=StageSchedule)
     eval_batch_size: int = 64
 
@@ -171,11 +171,11 @@ class PipelineModel(nn.Module):
         self.connector = Connector(config.connector, rng)
         self.lm = ToyLm(tokenizer, config.lm, rng)
 
-    def event_queries(self, event_batch: dict[str, np.ndarray],
-                      event_mask: np.ndarray) -> Tensor:
-        embedded = self.embedder.embed_indices(event_batch)
+    def event_queries(self, windows: dict[str, np.ndarray],
+                      window_mask: np.ndarray) -> Tensor:
+        embedded = self.embedder.embed_indices(windows)
         encoded = self.encoder.encode(embedded)
-        return self.connector.forward(encoded, event_mask)
+        return self.connector.forward(encoded, window_mask)
 
 
 def load_params(params: dict[str, Tensor], tensors: Entries) -> None:
@@ -200,16 +200,10 @@ def load_params(params: dict[str, Tensor], tensors: Entries) -> None:
 @dataclass
 class QABatch:
     pairs: list[QAPair]
-    event_batch: dict[str, np.ndarray]
-    event_mask: np.ndarray
-    prefix_ids: np.ndarray
-    body_ids: np.ndarray
-    body_valid: np.ndarray
-    answer_ids: np.ndarray
-    answer_valid: np.ndarray
     windows: dict[str, np.ndarray]   # distinct visible windows, same width
     window_mask: np.ndarray
     window_of: np.ndarray            # pair -> its row of ``windows``
+    text: TokenRows
 
 
 def make_qa_batch(pairs: list[QAPair], sequences: dict[str, EventSequence],
@@ -232,30 +226,25 @@ def make_qa_batch(pairs: list[QAPair], sequences: dict[str, EventSequence],
             rows[key] = len(visible)
             visible.append(seq)
         window_of.append(rows[key])
-    window_of = np.array(window_of)
     windows, window_mask = codec.encode_batch(visible)
-    event_batch = {f: codes[window_of] for f, codes in windows.items()}
-
-    prefix_tok = tokenizer.tokenize(pairs[0].prefix)
     for p in pairs:
         if p.prefix != pairs[0].prefix:
             raise ConfigError("mixed prefixes in one batch are unsupported")
-    prefix_ids = np.tile(np.asarray(prefix_tok, dtype=np.int64),
-                         (len(pairs), 1))
+    text = token_rows(tokenizer, pairs[0].prefix, [p.body for p in pairs],
+                      [p.answer for p in pairs])
+    return QABatch(pairs, windows, window_mask, np.array(window_of), text)
 
-    body_ids, body_valid = pad_rows([tokenizer.tokenize(p.body) for p in pairs])
-    answer_ids, answer_valid = pad_rows(
-        [tokenizer.tokenize(p.answer) + [EOS] for p in pairs])
-    return QABatch(pairs, event_batch, window_mask[window_of], prefix_ids,
-                   body_ids, body_valid, answer_ids, answer_valid, windows,
-                   window_mask, window_of)
+
+def pair_queries(model: PipelineModel, batch: QABatch) -> Tensor:
+    """Each pair's injected rows (pairs, q, d_model). The event tower runs
+    once per distinct window, and a window's gradient is the sum over its
+    pairs."""
+    queries = model.event_queries(batch.windows, batch.window_mask)
+    return ad.embedding(queries, batch.window_of)
 
 
 def qa_loss(model: PipelineModel, batch: QABatch) -> Tensor:
-    queries = model.event_queries(batch.event_batch, batch.event_mask)
-    mm = model.lm.batch_inputs(batch.prefix_ids, batch.body_ids,
-                               batch.body_valid, queries)
-    return model.lm.answer_loss(mm, batch.answer_ids, batch.answer_valid)
+    return model.lm.answer_loss(batch.text, pair_queries(model, batch))
 
 
 def _chunks(items: list, size: int):
@@ -469,24 +458,11 @@ def warmup_lm_stage(config: ExperimentConfig, codec: DatasetCodec,
 
     items = warmup_corpus(tokenizer)
     n_batches = max(1, math.ceil(len(items) / config.warmup.batch_size))
-    prefix_row = np.asarray(tokenizer.tokenize(config.prefix), dtype=np.int64)
-
-    def make_batch(chosen: list[tuple[str, str]]):
-        body_ids, body_valid = pad_rows(
-            [tokenizer.tokenize(body) for body, _ in chosen])
-        answer_ids, answer_valid = pad_rows(
-            [tokenizer.tokenize(ans) + [EOS] for _, ans in chosen])
-        return (np.tile(prefix_row, (len(chosen), 1)), body_ids, body_valid,
-                answer_ids, answer_valid)
-
-    def loss_fn(batch):
-        prefix_ids, body_ids, body_valid, answer_ids, answer_valid = batch
-        mm = lm.batch_inputs(prefix_ids, body_ids, body_valid, None)
-        return lm.answer_loss(mm, answer_ids, answer_valid)
-
     params = lm.parameters("lm.")
-    curve = run_training(loss_fn, AdamW(params, config.optimizer),
-                         config, "warmup", items, n_batches, make_batch)
+    curve = run_training(
+        lambda rows: lm.answer_loss(rows, None),
+        AdamW(params, config.optimizer), config, "warmup", items, n_batches,
+        lambda chosen: token_rows(tokenizer, config.prefix, *zip(*chosen)))
     final_loss = curve[-1][2] if curve else None
     checkpoint = _save_stage(
         out, "warmup", config, n_batches,
@@ -502,8 +478,7 @@ def warmup_lm_stage(config: ExperimentConfig, codec: DatasetCodec,
 
 
 def train_stage(config: ExperimentConfig, train: Dataset, val: Dataset,
-                codec: DatasetCodec, out_dir: str | Path,
-                from_scratch_encoder: bool = False) -> dict:
+                codec: DatasetCodec, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -515,13 +490,11 @@ def train_stage(config: ExperimentConfig, train: Dataset, val: Dataset,
     rng = np.random.default_rng(derived_seed(config.seed, "train"))
     model = PipelineModel(codec, tokenizer, config, rng)
     load_params(model.lm.parameters("lm."), lm_tensors)
-
-    if not from_scratch_encoder:
-        enc_tensors, enc_sidecar = load_checkpoint(out / "encoder")
-        if enc_sidecar.get("config_hash") != config.config_hash():
-            raise ConfigError("encoder checkpoint does not match this config")
-        load_params({**model.embedder.parameters("embedder."),
-                     **model.encoder.parameters("encoder.")}, enc_tensors)
+    enc_tensors, enc_sidecar = load_checkpoint(out / "encoder")
+    if enc_sidecar.get("config_hash") != config.config_hash():
+        raise ConfigError("encoder checkpoint does not match this config")
+    load_params({**model.embedder.parameters("embedder."),
+                 **model.encoder.parameters("encoder.")}, enc_tensors)
 
     # freeze the warmed-up backbone; only adapters and delimiters stay live
     lora_rng = np.random.default_rng(derived_seed(config.seed, "lora"))
@@ -638,7 +611,6 @@ def answer_pairs(model: PipelineModel, pairs: list[QAPair],
 
     Returns the generated texts and, per pair, p(Yes) - p(No) at the first
     decoding position (computed for every pair; only binary tasks use it).
-    The event tower runs once per distinct window of a chunk.
     """
     tokenizer = model.lm.tokenizer
     texts: list[str] = []
@@ -647,11 +619,8 @@ def answer_pairs(model: PipelineModel, pairs: list[QAPair],
         batch = make_qa_batch(chunk, sequences, tasks, codec, tokenizer,
                               config)
         with ad.no_grad():
-            queries = model.event_queries(batch.windows, batch.window_mask)
-            mm = model.lm.batch_inputs(batch.prefix_ids, batch.body_ids,
-                                       batch.body_valid,
-                                       Tensor(queries.data[batch.window_of]))
-            chunk_texts, steps = model.lm.generate(mm)
+            chunk_texts, steps = model.lm.generate(
+                batch.text, pair_queries(model, batch))
         first = steps[0] if steps else np.zeros((len(chunk), tokenizer.size))
         chunk_scores = first[:, tokenizer.yes_id] - first[:, tokenizer.no_id]
         texts.extend(chunk_texts)

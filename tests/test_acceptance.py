@@ -24,7 +24,7 @@ from eventqa.data import Dataset, EventSequence, FeatureSpec, GeneratorConfig, S
 from eventqa.encoder import (EncoderConfig, EventEncoder, NextEventHeads,
                              next_event_loss)
 from eventqa.errors import ConfigError
-from eventqa.lm import EOS, LoraConfig, ToyLmConfig, apply_lora, pad_rows
+from eventqa.lm import LoraConfig, ToyLmConfig, apply_lora, token_rows
 from eventqa.metrics import accuracy, f1_binary, mae, mse, roc_auc
 from eventqa.pipeline import (ExperimentConfig, StageSchedule, evaluate_stage,
                               fit_codec_stage, load_pipeline, load_splits,
@@ -151,10 +151,9 @@ def metric_of(report, task_id, name):
 
 
 def text_only_input(lm, prefix, body):
-    """A batch of one without event rows, through pad_rows and batch_inputs."""
-    prefix_ids, _ = pad_rows([lm.tokenizer.tokenize(prefix)])
-    body_ids, body_valid = pad_rows([lm.tokenizer.tokenize(body)])
-    return lm.batch_inputs(prefix_ids, body_ids, body_valid, None)
+    """Token rows of a batch of one with the answer "Yes", through
+    ``token_rows``; the model takes them without event rows."""
+    return token_rows(lm.tokenizer, prefix, [body], ["Yes"])
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +282,8 @@ def test_criterion_4_gradient_suite():
                np.random.default_rng(7))
     apply_lora(lm, LoraConfig(rank=2, alpha=4.0, dropout=0.0),
                np.random.default_rng(8))
-    mm = text_only_input(lm, "Given the history", "Answer yes.")
-    answer = np.array([[tok.yes_id, EOS]])
-    rep_c = grad_check(lambda: lm.answer_loss(mm, answer, np.ones((1, 2))),
+    rows = text_only_input(lm, "Given the history", "Answer yes.")
+    rep_c = grad_check(lambda: lm.answer_loss(rows, None),
                        lm.trainable_parameters(), tolerance=1e-4,
                        max_entries=40)
     details.append(f"LM+LoRA max rel err {rep_c['max_rel_error']:.2e}")
@@ -335,14 +333,14 @@ def test_criterion_5_architecture_contracts(tmp_path):
                                 heads=4, d_ff=24, max_input_len=32,
                                 max_output_len=8),
                np.random.default_rng(11))
-    mm = text_only_input(lm, "Given the history", "Answer yes.")
+    rows = text_only_input(lm, "Given the history", "Answer yes.")
     with ad.no_grad():
-        enc_out, valid = lm.encode(mm)
+        enc_out, valid = lm.encode(rows, None)
         before = lm.decode(np.array([[BOS]]), enc_out, valid).data.copy()
     apply_lora(lm, LoraConfig(rank=2, alpha=4.0, dropout=0.0),
                np.random.default_rng(12))
     with ad.no_grad():
-        enc_out, valid = lm.encode(mm)
+        enc_out, valid = lm.encode(rows, None)
         after = lm.decode(np.array([[BOS]]), enc_out, valid).data
     assert np.array_equal(before, after)
     details.append("LoRA zero-init identity exact")
@@ -466,12 +464,13 @@ def test_injected_events_drive_event_dependent_answers(extractive_run):
     for chunk in _chunks(pairs, config.eval_batch_size):
         batch = make_qa_batch(chunk, sequences, task_map, codec,
                               model.lm.tokenizer, config)
+        of = batch.window_of  # one tower pass per pair, as a reference
         with ad.no_grad():
-            queries = model.event_queries(batch.event_batch, batch.event_mask)
+            queries = model.event_queries(
+                {f: w[of] for f, w in batch.windows.items()},
+                batch.window_mask[of])
             zeroed = Tensor(np.zeros_like(queries.data))
-            mm = model.lm.batch_inputs(batch.prefix_ids, batch.body_ids,
-                                       batch.body_valid, zeroed)
-            out_texts, _ = model.lm.generate(mm)
+            out_texts, _ = model.lm.generate(batch.text, zeroed)
         zero_texts.extend(out_texts)
     parsed_zero = [parse_answer(t, tasks[0], vocab) for t in zero_texts]
     acc_zero = accuracy(parsed_zero, truths)
@@ -479,8 +478,8 @@ def test_injected_events_drive_event_dependent_answers(extractive_run):
 
     # event-independent calibration question is unaffected
     with ad.no_grad():
-        mm = text_only_input(model.lm, config.prefix, "Answer yes.")
-        calib, _ = model.lm.generate(mm)
+        rows = text_only_input(model.lm, config.prefix, "Answer yes.")
+        calib, _ = model.lm.generate(rows, None)
     assert calib[0] == "Yes"
 
 

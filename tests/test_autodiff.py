@@ -121,6 +121,22 @@ def test_embedding_gradient_scatter():
     np.testing.assert_array_equal(table.grad, expected)
 
 
+def test_embedding_3d_table_gradcheck():
+    """Rows of any shape: repeated lookups of a (4, 2, 3) table."""
+    rng = np.random.default_rng(4)
+    table = Tensor(rng.normal(size=(4, 2, 3)), requires_grad=True)
+    weights = Tensor(rng.normal(size=(5, 2, 3)))
+    idx = np.array([2, 0, 2, 3, 2])
+
+    def loss():
+        rows = ad.embedding(table, idx)
+        return ad.tsum(ad.mul(ad.mul(rows, rows), weights))
+
+    assert ad.embedding(table, idx).shape == (5, 2, 3)
+    report = grad_check(loss, {"table": table}, tolerance=1e-4)
+    assert report["passed"], report["failures"]
+
+
 def test_embedding_rejects_out_of_range():
     table = Tensor(np.zeros((4, 3)))
     with pytest.raises(IndexError):

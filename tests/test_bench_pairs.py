@@ -93,3 +93,36 @@ def test_committed_bench_files_are_valid():
     assert files
     for path in files:
         bench.validate(json.loads(path.read_text()))
+
+
+def test_failed_run_keeps_finished_runs(tmp_path, monkeypatch, capsys):
+    """The third run fails: the document keeps the two finished runs and
+    names the failed one, and the exit status is non-zero."""
+    def fake_export(rev, into):
+        into.mkdir(parents=True)
+        (into / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": name, "better": better}
+            for name, better in BETTER.items()]}))
+        return rev * 40
+
+    results = [json.loads(text) for _, _, text in CANNED[:2]]
+
+    def fake_run_once(checkout, workload, seed):
+        if not results:
+            raise bench.RunFailed(7, "Traceback ...\nValueError: boom")
+        return results.pop(0)
+
+    monkeypatch.setattr(bench, "export", fake_export)
+    monkeypatch.setattr(bench, "run_once", fake_run_once)
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--base", "a", "--head", "b", "--plan", "serve:1-2",
+                       "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    bench.validate(doc)
+    assert [(r["seed"], r["side"]) for r in doc["runs"]] == \
+        [(1, "base"), (1, "head")]
+    assert doc["failed_run"] == {"workload": "serve", "seed": 2,
+                                 "side": "head", "exit_code": 7,
+                                 "stderr_tail": "Traceback ...\nValueError: boom"}
+    assert doc["summary"]["serve"]["pairs"] == 1
+    assert "boom" in capsys.readouterr().err

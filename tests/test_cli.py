@@ -278,6 +278,39 @@ def test_missing_data_dir_exits_3(trained_run, tmp_path, capsys):
     assert "data error" in err and str(data / "schema.json") in err
 
 
+def replacing(key, value):
+    return lambda line: json.dumps({**json.loads(line), key: value}).encode()
+
+
+@pytest.mark.parametrize("damage", [
+    replacing("events", [5]), replacing("targets", 5),
+    replacing("targets", [1]), replacing("client_id", ["x"]),
+    lambda line: line.replace(b'"t"', b'"\xff"', 1),
+], ids=["event_not_object", "targets_number", "targets_array",
+        "client_id_array", "not_utf8"])
+@pytest.mark.parametrize("command", ["ask", "eval"])
+def test_malformed_dataset_line_exits_3(trained_run, config_path, tmp_path,
+                                        capsys, damage, command):
+    """A malformed line of ``ask --sequence`` or of ``--data`` is a data
+    error naming the line, not a traceback."""
+    data = tmp_path / "data"
+    assert cli_main(["generate-data", "--config", str(config_path),
+                     "--out", str(data)]) == 0
+    path = data / "dataset.jsonl"
+    lines = path.read_bytes().splitlines()
+    if command == "ask":
+        path = tmp_path / "one.jsonl"
+        lines = lines[:1]
+    lines[-1] = damage(lines[-1])
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    argv = (["ask", "--sequence", str(path), "--question",
+             "What is the category of the last event?"]
+            if command == "ask" else ["eval", "--data", str(data)])
+    assert cli_main(argv + ["--out", str(trained_run)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and f"line {len(lines)}" in err
+
+
 @CHECKPOINT_READERS
 def test_empty_checkpoint_dir_exits_3(tmp_path, capsys, argv):
     assert cli_main(argv + ["--out", str(tmp_path)]) == 3

@@ -1,6 +1,8 @@
 """Event data model, JSONL ingestion, splitting, synthetic generation."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +68,21 @@ class TestLoadJsonl:
         line["events"][0]["amount"] = "not-a-number"
         path = write_lines(tmp_path, [line])
         with pytest.raises(DataError, match="line 1"):
+            load_jsonl(path, toy_schema())
+
+    @pytest.mark.parametrize("line", [
+        json.dumps({**valid_line("c2"), "events": [5]}).encode(),
+        json.dumps({**valid_line("c2"), "targets": 5}).encode(),
+        json.dumps({**valid_line("c2"), "targets": [1]}).encode(),
+        json.dumps({**valid_line("c2"), "client_id": ["x"]}).encode(),
+        json.dumps(valid_line("c2")).encode().replace(b"c2", b"c\xff"),
+    ], ids=["event_not_object", "targets_number", "targets_array",
+            "client_id_array", "not_utf8"])
+    def test_malformed_line_is_a_data_error_naming_it(self, tmp_path, line):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(json.dumps(valid_line("c1")).encode() + b"\n"
+                         + line + b"\n")
+        with pytest.raises(DataError, match="line 2"):
             load_jsonl(path, toy_schema())
 
     def test_missing_file(self, tmp_path):
@@ -175,6 +192,31 @@ def generator_config(**kw):
                            "threshold": 1.0}}])
     base.update(kw)
     return GeneratorConfig(**base)
+
+
+SAVED = generate_synthetic(generator_config(
+    n_clients=3, events_min=2, events_max=4, time_derived=["hour"]), seed=3)[0]
+SAVED_BYTES = dataset_to_jsonl(SAVED).encode()
+
+
+@given(cut=st.integers(0, len(SAVED_BYTES)),
+       flips=st.lists(st.tuples(st.integers(0, len(SAVED_BYTES) - 1),
+                                st.integers(0, 7)), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_damaged_dataset_file_is_a_data_error(cut, flips):
+    """Truncations and bit flips of a saved dataset.jsonl: loading either
+    succeeds or raises DataError/ConfigError, never anything else."""
+    raw = bytearray(SAVED_BYTES[:cut])
+    for pos, bit in flips:
+        if pos < len(raw):
+            raw[pos] ^= 1 << bit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.jsonl"
+        path.write_bytes(bytes(raw))
+        try:
+            load_jsonl(path, SAVED.schema)
+        except (DataError, ConfigError):
+            pass
 
 
 class TestGenerateSynthetic:

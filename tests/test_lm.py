@@ -10,8 +10,8 @@ from eventqa import nn
 from eventqa.autodiff import Tensor, backward, grad_check
 from eventqa.errors import ConfigError, DataError
 from eventqa.lm import (BOS, EOS, PAD, SEQ_PREFIX, SEQ_SUFFIX, LoraConfig,
-                        MultimodalInput, Tokenizer, ToyLm, ToyLmConfig,
-                        apply_lora, pad_rows)
+                        Tokenizer, ToyLm, ToyLmConfig, apply_lora, pad_rows,
+                        token_rows)
 from eventqa.optim import AdamW, OptimizerConfig
 
 WORDS = ["What", "is", "the", "category", "of", "last", "event", "Answer",
@@ -32,17 +32,15 @@ def tiny_lm(seed=0, **kw):
                  np.random.default_rng(seed))
 
 
-def one_row(lm, prefix, body, queries=None):
-    """A batch of one through ``pad_rows`` and ``batch_inputs``."""
-    prefix_ids, _ = pad_rows([lm.tokenizer.tokenize(prefix)])
-    body_ids, body_valid = pad_rows([lm.tokenizer.tokenize(body)])
-    return lm.batch_inputs(prefix_ids, body_ids, body_valid, queries)
+def one_row(lm, prefix, body, answer="Yes"):
+    """Token rows of a batch of one, through ``token_rows``."""
+    return token_rows(lm.tokenizer, prefix, [body], [answer])
 
 
-def yes_minus_no(lm, mm):
+def yes_minus_no(lm, rows):
     """p(Yes) - p(No) of the first row from generate's step-0 distribution,
     the quantity the pipeline reports as the Yes/No score."""
-    _, steps = lm.generate(mm)
+    _, steps = lm.generate(rows, None)
     return float(steps[0][0, lm.tokenizer.yes_id]
                  - steps[0][0, lm.tokenizer.no_id])
 
@@ -110,17 +108,22 @@ class TestInjection:
         queries = Tensor(np.zeros((1, 8, 16)))
         prefix = "Given the history"          # 4 words + 2 spaces? tokens: 5
         body = "What is the last event?"
-        mm = one_row(lm, prefix, body, queries)
+        rows = one_row(lm, prefix, body)
         p = len(lm.tokenizer.tokenize(prefix))
         b = len(lm.tokenizer.tokenize(body))
-        assert mm.length == p + 1 + 8 + 1 + b
-        assert mm.n_injected == 8
+        with ad.no_grad():
+            out, valid = lm.encode(rows, queries)
+        assert out.shape == (1, p + 1 + 8 + 1 + b, 16)
+        np.testing.assert_array_equal(valid, np.ones((1, p + 1 + 8 + 1 + b)))
 
     def test_q_zero_pure_text_still_decodes(self):
         lm = tiny_lm()
-        mm = one_row(lm, "Given the history", "Answer yes.", None)
-        assert mm.n_injected == 0
-        texts, steps = lm.generate(mm)
+        rows = one_row(lm, "Given the history", "Answer yes.")
+        with ad.no_grad():
+            out, _ = lm.encode(rows, None)
+        assert out.shape[1] == rows.prefix_ids.shape[1] + 2 + \
+            rows.body_ids.shape[1]
+        texts, steps = lm.generate(rows, None)
         assert isinstance(texts[0], str)
         assert steps, "expected at least one decoding step"
 
@@ -129,23 +132,27 @@ class TestInjection:
         rng = np.random.default_rng(0)
         q1 = Tensor(rng.normal(size=(1, 4, 16)))
         q2 = Tensor(rng.normal(size=(1, 4, 16)))
-        mm1 = one_row(lm, "Given the history", "What is the last event?", q1)
-        mm2 = one_row(lm, "Given the history", "What is the last event?", q2)
-        np.testing.assert_array_equal(mm1.prefix_ids, mm2.prefix_ids)
-        np.testing.assert_array_equal(mm1.body_ids, mm2.body_ids)
-        assert not np.array_equal(mm1.injected.data, mm2.injected.data)
+        rows1 = one_row(lm, "Given the history", "What is the last event?")
+        rows2 = one_row(lm, "Given the history", "What is the last event?")
+        np.testing.assert_array_equal(rows1.prefix_ids, rows2.prefix_ids)
+        np.testing.assert_array_equal(rows1.body_ids, rows2.body_ids)
+        with ad.no_grad():
+            out1, _ = lm.encode(rows1, q1)
+            out2, _ = lm.encode(rows2, q2)
+        assert not np.array_equal(out1.data, out2.data)
 
     def test_overlength_stream_rejected_with_measured_lengths(self):
         lm = tiny_lm(max_input_len=10)
         queries = Tensor(np.zeros((1, 8, 16)))
+        rows = one_row(lm, "Given the history", "What is the last event?")
         with pytest.raises(ConfigError, match="exceeds max input"):
-            one_row(lm, "Given the history", "What is the last event?",
-                    queries)
+            lm.encode(rows, queries)
 
     def test_injected_width_checked(self):
         lm = tiny_lm()
         with pytest.raises(ConfigError, match="injected rows"):
-            one_row(lm, "Given", "Answer yes.", Tensor(np.zeros((1, 4, 7))))
+            lm.encode(one_row(lm, "Given", "Answer yes."),
+                      Tensor(np.zeros((1, 4, 7))))
 
 
 class TestLora:
@@ -172,14 +179,13 @@ class TestLora:
             lm = tiny_lm(seed=13)
             apply_lora(lm, LoraConfig(rank=2, alpha=4.0, dropout=dropout),
                        np.random.default_rng(14))
-            mm = one_row(lm, "Given the history", "Answer yes.", None)
-            answer = np.array([[lm.tokenizer.yes_id, EOS]])
+            rows = one_row(lm, "Given the history", "Answer yes.")
             params = lm.trainable_parameters()
             opt = AdamW(params)
             losses = []
             for _ in range(2):
                 opt.zero_grad()
-                loss = lm.answer_loss(mm, answer, np.ones((1, 2)))
+                loss = lm.answer_loss(rows, None)
                 losses.append(loss.item())
                 backward(loss)
                 opt.step(0.05)
@@ -195,15 +201,15 @@ class TestLora:
 
     def test_zero_init_identity_exact(self):
         lm = tiny_lm(seed=1)
-        mm = one_row(lm, "Given the history", "Answer yes.", None)
+        rows = one_row(lm, "Given the history", "Answer yes.")
         with ad.no_grad():
-            base_out, _ = lm.encode(mm)
+            base_out, _ = lm.encode(rows, None)
             base_logits = lm.decode(np.array([[BOS]]), base_out,
                                     np.ones((1, base_out.shape[1])))
         report = apply_lora(lm, LoraConfig(rank=2, alpha=4.0, dropout=0.0),
                             np.random.default_rng(2))
         with ad.no_grad():
-            out, _ = lm.encode(mm)
+            out, _ = lm.encode(rows, None)
             logits = lm.decode(np.array([[BOS]]), out,
                                np.ones((1, out.shape[1])))
         np.testing.assert_array_equal(base_logits.data, logits.data)
@@ -247,13 +253,12 @@ class TestLora:
             return h.hexdigest()
 
         before = frozen_hash()
-        mm = one_row(lm, "Given the history", "Answer yes.", None)
-        answer = np.array([[lm.tokenizer.yes_id, EOS]])
+        rows = one_row(lm, "Given the history", "Answer yes.")
         params = lm.trainable_parameters()
         opt = AdamW(params)
         for _ in range(3):
             opt.zero_grad()
-            loss = lm.answer_loss(mm, answer, np.ones((1, 2)))
+            loss = lm.answer_loss(rows, None)
             backward(loss)
             opt.step(0.05)
         assert frozen_hash() == before
@@ -272,12 +277,10 @@ class TestLora:
                      dec_layers=1)
         apply_lora(lm, LoraConfig(rank=2, alpha=4.0, dropout=0.0),
                    np.random.default_rng(11))
-        mm = one_row(lm, "Given the history", "Answer yes.", None)
-        answer = np.array([[lm.tokenizer.yes_id, EOS]])
-        valid = np.ones((1, 2))
+        rows = one_row(lm, "Given the history", "Answer yes.")
         params = lm.trainable_parameters()
 
-        report = grad_check(lambda: lm.answer_loss(mm, answer, valid), params,
+        report = grad_check(lambda: lm.answer_loss(rows, None), params,
                             tolerance=1e-4, max_entries=40)
         assert report["passed"], report["failures"][:3]
 
@@ -286,51 +289,49 @@ class TestGeneration:
     def test_degenerate_always_yes_model(self):
         """A model fine-tuned onto the constant answer emits Yes anywhere."""
         lm = tiny_lm(seed=12)
-        tok = lm.tokenizer
-        mm_train = one_row(lm, "Given the history", "Answer yes.", None)
-        answer = np.array([[tok.yes_id, EOS]])
+        rows_train = one_row(lm, "Given the history", "Answer yes.")
         opt = AdamW(lm.parameters(), OptimizerConfig(weight_decay=0.0))
         for _ in range(40):
             opt.zero_grad()
-            loss = lm.answer_loss(mm_train, answer, np.ones((1, 2)))
+            loss = lm.answer_loss(rows_train, None)
             backward(loss)
             opt.step(0.05)
         for body in ("Answer yes.", "What is the last event?"):
-            mm = one_row(lm, "Given the history", body, None)
-            texts, steps = lm.generate(mm)
+            rows = one_row(lm, "Given the history", body)
+            texts, steps = lm.generate(rows, None)
             assert texts[0] == "Yes"
-            assert yes_minus_no(lm, mm) > 0.0
+            assert yes_minus_no(lm, rows) > 0.0
 
     def test_greedy_decoding_deterministic(self):
         lm = tiny_lm(seed=13)
-        mm = one_row(lm, "Given the history", "What is the last event?", None)
-        a, _ = lm.generate(mm)
-        b, _ = lm.generate(mm)
+        rows = one_row(lm, "Given the history", "What is the last event?")
+        a, _ = lm.generate(rows, None)
+        b, _ = lm.generate(rows, None)
         assert a == b
 
     def test_first_position_distribution_sums_to_one(self):
         lm = tiny_lm(seed=14)
-        mm = one_row(lm, "Given the history", "Answer yes.", None)
-        _, steps = lm.generate(mm)
+        rows = one_row(lm, "Given the history", "Answer yes.")
+        _, steps = lm.generate(rows, None)
         assert steps[0].sum(axis=-1)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_tied_yes_no_logits_score_zero(self):
         lm = tiny_lm(seed=15)
         lm.lm_head.w.data[:] = 0.0
         lm.lm_head.b.data[:] = 0.0  # all logits equal -> p(yes) == p(no)
-        mm = one_row(lm, "Given the history", "Answer yes.", None)
-        assert yes_minus_no(lm, mm) == pytest.approx(0.0, abs=1e-15)
+        rows = one_row(lm, "Given the history", "Answer yes.")
+        assert yes_minus_no(lm, rows) == pytest.approx(0.0, abs=1e-15)
 
     def test_score_range(self):
         lm = tiny_lm(seed=16)
-        mm = one_row(lm, "Given the history", "Answer yes.", None)
-        score = yes_minus_no(lm, mm)
+        rows = one_row(lm, "Given the history", "Answer yes.")
+        score = yes_minus_no(lm, rows)
         assert -1.0 <= score <= 1.0
 
     def test_generation_stops_at_eos_limit(self):
         lm = tiny_lm(seed=17, max_output_len=4)
-        mm = one_row(lm, "Given the history", "Answer yes.", None)
-        texts, steps = lm.generate(mm)
+        rows = one_row(lm, "Given the history", "Answer yes.")
+        texts, steps = lm.generate(rows, None)
         assert len(steps) <= 3
 
 
@@ -340,19 +341,12 @@ class TestBatchedForward:
         tok = lm.tokenizer
         prefix = "Given the history"
         bodies = ["Answer yes.", "What is the last event?"]
-        body_tok = [tok.tokenize(b) for b in bodies]
-        t = max(len(b) for b in body_tok)
-        body_ids = np.full((2, t), PAD, dtype=np.int64)
-        body_valid = np.zeros((2, t))
-        for i, b in enumerate(body_tok):
-            body_ids[i, :len(b)] = b
-            body_valid[i, :len(b)] = 1.0
-        prefix_ids = np.tile(np.asarray(tok.tokenize(prefix)), (2, 1))
-        mm_batch = lm.batch_inputs(prefix_ids, body_ids, body_valid, None)
-        texts_batch, _ = lm.generate(mm_batch)
+        rows_batch = token_rows(tok, prefix, bodies, ["Yes", "Yes"])
+        assert rows_batch.body_valid[0].sum() < rows_batch.body_ids.shape[1]
+        texts_batch, _ = lm.generate(rows_batch, None)
 
-        mm_single = one_row(lm, prefix, bodies[0], None)
-        texts_single, _ = lm.generate(mm_single)
+        rows_single = one_row(lm, prefix, bodies[0])
+        texts_single, _ = lm.generate(rows_single, None)
         assert texts_batch[0] == texts_single[0]
 
     def test_pad_rows_layout(self):
@@ -360,3 +354,21 @@ class TestBatchedForward:
         np.testing.assert_array_equal(ids, [[7, 8, 9], [5, PAD, PAD]])
         np.testing.assert_array_equal(valid, [[1, 1, 1], [1, 0, 0]])
         assert ids.dtype == np.int64 and valid.dtype == np.float64
+
+    def test_token_rows_layout(self):
+        tok = make_tokenizer()
+        rows = token_rows(tok, "Given the history", ["Answer yes.", "What"],
+                          ["Yes", "alpha 42"])
+        prefix = tok.tokenize("Given the history")
+        np.testing.assert_array_equal(rows.prefix_ids, [prefix, prefix])
+        want_ids, want_valid = pad_rows([tok.tokenize("Answer yes."),
+                                         tok.tokenize("What")])
+        np.testing.assert_array_equal(rows.body_ids, want_ids)
+        np.testing.assert_array_equal(rows.body_valid, want_valid)
+        alpha = tok.tokenize("alpha 42")
+        np.testing.assert_array_equal(
+            rows.answer_ids,
+            [[tok.yes_id, EOS] + [PAD] * (len(alpha) - 1), alpha + [EOS]])
+        np.testing.assert_array_equal(
+            rows.answer_valid.sum(axis=1), [2, len(alpha) + 1])
+        assert rows.prefix_ids.dtype == np.int64

@@ -265,10 +265,21 @@ def recording(calls: list, fn):
     return wrapper
 
 
+def counting_tower(rows: list):
+    """``PipelineModel.event_queries`` that also appends its window count."""
+    event_queries = PipelineModel.event_queries
+
+    def counting(self, windows, window_mask):
+        rows.append(len(window_mask))
+        return event_queries(self, windows, window_mask)
+    return counting
+
+
 class TestWindowBatches:
     """Encoded windows against per-value coding, and one event-tower row per
-    distinct window at inference. The trained ``next_category`` task holds
-    out the last event, so every client has two visible windows."""
+    distinct window in training and at inference. The trained
+    ``next_category`` task holds out the last event, so every client has two
+    visible windows."""
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
@@ -279,7 +290,7 @@ class TestWindowBatches:
         cfg = tiny_experiment(tasks=tasks)
         full, train, val = load_splits(cfg)
         codec = fit_codec_stage(cfg, train)
-        encoded, batches = [], []
+        encoded, batches, towers = [], [], []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(DatasetCodec, "encode_batch",
                        recording(encoded, DatasetCodec.encode_batch))
@@ -288,11 +299,12 @@ class TestWindowBatches:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "make_qa_batch",
                        recording(batches, make_qa_batch))
+            mp.setattr(PipelineModel, "event_queries", counting_tower(towers))
             train_stage(cfg, train, val, codec, out)
-        return cfg, out, full, train, codec, encoded, batches
+        return cfg, out, full, train, codec, encoded, batches, towers
 
     def test_pretraining_batches_match_per_value_coding(self, run):
-        cfg, _, _, train, _, encoded, _ = run
+        cfg, _, _, train, _, encoded, *_ = run
         n_batches = len(train.sequences) // cfg.pretrain.batch_size
         assert len(encoded) == cfg.pretrain.epochs * n_batches
         for (codec, seqs), got in encoded:
@@ -301,7 +313,7 @@ class TestWindowBatches:
             {s.client_id for s in train.sequences}
 
     def test_training_batches_match_per_value_coding(self, run):
-        cfg, _, _, train, codec, _, batches = run
+        cfg, _, _, train, codec, _, batches, _ = run
         corpus = cfg.corpus(train, [t for t in cfg.built_tasks() if t.task_id
                                     in cfg.trained_task_ids()], codec)
         n_steps = cfg.train.epochs * (len(corpus) // cfg.train.batch_size)
@@ -311,7 +323,6 @@ class TestWindowBatches:
                                       tasks[p.task_id], config.min_seq_len,
                                       config.max_seq_len) for p in pairs]
             want = per_value_batch(codec, windows)
-            assert_batches_equal((batch.event_batch, batch.event_mask), want)
             rows = batch.window_of
             assert_batches_equal(
                 ({f: w[rows] for f, w in batch.windows.items()},
@@ -343,12 +354,12 @@ class TestWindowBatches:
         for i in range(0, len(pairs), size):
             batch = make_qa_batch(pairs[i:i + size], sequences, tasks, codec,
                                   tokenizer, config)
+            rows = batch.window_of
             with ad.no_grad():
-                queries = model.event_queries(batch.event_batch,
-                                              batch.event_mask)
-                mm = model.lm.batch_inputs(batch.prefix_ids, batch.body_ids,
-                                           batch.body_valid, queries)
-                chunk_texts, steps = model.lm.generate(mm)
+                queries = model.event_queries(
+                    {f: w[rows] for f, w in batch.windows.items()},
+                    batch.window_mask[rows])
+                chunk_texts, steps = model.lm.generate(batch.text, queries)
             want_texts += chunk_texts
             want_scores += (steps[0][:, tokenizer.yes_id]
                             - steps[0][:, tokenizer.no_id]).tolist()
@@ -357,15 +368,19 @@ class TestWindowBatches:
 
     def test_event_tower_runs_once_per_distinct_window(self, run,
                                                        monkeypatch):
+        # train_stage: every training step and validation chunk
+        *_, batches, towers = run
+        distinct = [len({(p.client_id, tasks[p.task_id].holdout_last)
+                         for p in pairs})
+                    for (pairs, _, tasks, *_), _ in batches]
+        assert towers == distinct
+        assert sum(towers) < sum(len(pairs) for (pairs, *_), _ in batches)
+
+        # evaluation
         model, config, codec, tasks, pairs, sequences = self.pairs(run)
         rows = []
-        event_queries = PipelineModel.event_queries
-
-        def counting(self, event_batch, event_mask):
-            rows.append(len(event_mask))
-            return event_queries(self, event_batch, event_mask)
-
-        monkeypatch.setattr(PipelineModel, "event_queries", counting)
+        monkeypatch.setattr(PipelineModel, "event_queries",
+                            counting_tower(rows))
         answer_pairs(model, pairs, sequences, tasks, codec, config)
         size = config.eval_batch_size
         distinct = [len({(p.client_id, tasks[p.task_id].holdout_last)
@@ -373,6 +388,37 @@ class TestWindowBatches:
                     for i in range(0, len(pairs), size)]
         assert rows == distinct
         assert sum(rows) < len(pairs)
+
+    def test_gradients_match_one_tower_pass_per_pair(self, run):
+        """Two pairs on one window: the window's query rows collect both
+        pairs' gradients, as a tower pass per pair would give them."""
+        model, config, codec, tasks, pairs, sequences = self.pairs(run)
+        first = pairs[0].client_id
+        chosen = [p for p in pairs if p.client_id == first
+                  and not tasks[p.task_id].holdout_last][:2] + [
+            p for p in pairs if p.client_id != first][:3]
+        batch = make_qa_batch(chosen, sequences, tasks, codec,
+                              model.lm.tokenizer, config)
+        assert batch.window_of[0] == batch.window_of[1]
+        params = model.trainable_parameters()
+
+        def gradients(loss):
+            model.zero_grad()
+            ad.backward(loss)
+            return {n: np.zeros_like(p.data) if p.grad is None else p.grad
+                    for n, p in params.items()}
+
+        got = gradients(pipeline.qa_loss(model, batch))
+        rows = batch.window_of
+        queries = model.event_queries(
+            {f: w[rows] for f, w in batch.windows.items()},
+            batch.window_mask[rows])
+        want = gradients(model.lm.answer_loss(batch.text, queries))
+        scale = max(np.abs(g).max() for g in want.values())
+        assert scale > 0
+        for name in params:
+            np.testing.assert_allclose(got[name], want[name], rtol=0,
+                                       atol=1e-12 * scale, err_msg=name)
 
 
 class TestDeterminism:

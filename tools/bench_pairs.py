@@ -13,7 +13,10 @@ affects both sides alike. Usage::
 Each ``--plan`` names a workload and an inclusive range of seeds, one pair
 per seed. The summary gives, per workload and end-to-end metric, the median
 and quartiles of each side, the head/base ratio of the medians, and the
-number of pairs in which the head was better.
+number of pairs in which the head was better. If a run fails, the runs
+made so far are still written, with the failed run's workload, seed, side,
+exit code and the end of its stderr under ``failed_run``, and the exit
+status is 1.
 """
 
 from __future__ import annotations
@@ -117,6 +120,15 @@ def export(rev: str, into: Path) -> str:
     return commit
 
 
+class RunFailed(Exception):
+    """A benchmark run that exited with a non-zero status."""
+
+    def __init__(self, exit_code: int, stderr_tail: str):
+        super().__init__(f"exit code {exit_code}")
+        self.exit_code = exit_code
+        self.stderr_tail = stderr_tail
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
@@ -124,8 +136,7 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
          "--seed", str(seed), "--trace", "0"],
         cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{checkout.name} {workload} seed {seed} failed:\n"
-                           f"{proc.stderr[-2000:]}")
+        raise RunFailed(proc.returncode, proc.stderr[-2000:])
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -150,17 +161,24 @@ def main(argv: list[str] | None = None) -> int:
                    for side in SIDES}
         spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-        runs = []
-        for workload, seeds in args.plan:
-            for i, seed in enumerate(seeds):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                for position, side in enumerate(order):
-                    result = run_once(checkouts[side], workload, seed)
-                    runs.append({"workload": workload, "seed": seed,
-                                 "side": side, "position": position,
-                                 "result": result})
-                    print(f"{workload} seed {seed} {side}: "
-                          f"{json.dumps(result['metrics'])}", file=sys.stderr)
+        runs, failed = [], None
+        try:
+            for workload, seeds in args.plan:
+                for i, seed in enumerate(seeds):
+                    order = SIDES if i % 2 == 0 else SIDES[::-1]
+                    for position, side in enumerate(order):
+                        result = run_once(checkouts[side], workload, seed)
+                        runs.append({"workload": workload, "seed": seed,
+                                     "side": side, "position": position,
+                                     "result": result})
+                        print(f"{workload} seed {seed} {side}: "
+                              f"{json.dumps(result['metrics'])}",
+                              file=sys.stderr)
+        except RunFailed as e:
+            failed = {"workload": workload, "seed": seed, "side": side,
+                      "exit_code": e.exit_code, "stderr_tail": e.stderr_tail}
+            print(f"{workload} seed {seed} {side} failed with exit code "
+                  f"{e.exit_code}:\n{e.stderr_tail}", file=sys.stderr)
     doc = {"schema": SCHEMA,
            "command": "benchmark/run.py --trace 0",
            "machine": machine_info(),
@@ -168,9 +186,11 @@ def main(argv: list[str] | None = None) -> int:
            "head": {"rev": args.head, "commit": commits["head"]},
            "better": better, "runs": runs,
            "summary": summarize(runs, better)}
+    if failed is not None:
+        doc["failed_run"] = failed
     validate(doc)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    return 0 if failed is None else 1
 
 
 if __name__ == "__main__":
