@@ -265,6 +265,14 @@ def recording(calls: list, fn):
     return wrapper
 
 
+def per_pair_queries(model, batch):
+    """The reference for ``pipeline.pair_queries``: one event-tower row per
+    pair, each pair with its own copy of its window."""
+    rows = batch.window_of
+    return model.event_queries({f: w[rows] for f, w in batch.windows.items()},
+                               batch.window_mask[rows])
+
+
 def counting_tower(rows: list):
     """``PipelineModel.event_queries`` that also appends its window count."""
     event_queries = PipelineModel.event_queries
@@ -354,12 +362,9 @@ class TestWindowBatches:
         for i in range(0, len(pairs), size):
             batch = make_qa_batch(pairs[i:i + size], sequences, tasks, codec,
                                   tokenizer, config)
-            rows = batch.window_of
             with ad.no_grad():
-                queries = model.event_queries(
-                    {f: w[rows] for f, w in batch.windows.items()},
-                    batch.window_mask[rows])
-                chunk_texts, steps = model.lm.generate(batch.text, queries)
+                chunk_texts, steps = model.lm.generate(
+                    batch.text, per_pair_queries(model, batch))
             want_texts += chunk_texts
             want_scores += (steps[0][:, tokenizer.yes_id]
                             - steps[0][:, tokenizer.no_id]).tolist()
@@ -405,15 +410,12 @@ class TestWindowBatches:
         def gradients(loss):
             model.zero_grad()
             ad.backward(loss)
-            return {n: np.zeros_like(p.data) if p.grad is None else p.grad
-                    for n, p in params.items()}
+            return {n: np.zeros_like(p.data) if p.grad is None
+                    else p.grad.copy() for n, p in params.items()}
 
         got = gradients(pipeline.qa_loss(model, batch))
-        rows = batch.window_of
-        queries = model.event_queries(
-            {f: w[rows] for f, w in batch.windows.items()},
-            batch.window_mask[rows])
-        want = gradients(model.lm.answer_loss(batch.text, queries))
+        want = gradients(model.lm.answer_loss(
+            batch.text, per_pair_queries(model, batch)))
         scale = max(np.abs(g).max() for g in want.values())
         assert scale > 0
         for name in params:
