@@ -460,12 +460,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(data, (x, gamma, beta), backward)
 
 
-def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean cross-entropy over positions where ``mask`` is nonzero.
+def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray,
+                         total: float | None = None) -> Tensor:
+    """Cross-entropy summed over positions where ``mask`` is nonzero and
+    divided by ``total``, by default ``mask.sum()`` (the mean).
 
     ``logits`` has class scores on the last axis; ``targets`` holds class
     indices with the same leading shape; ``mask`` weights each position
-    (typically 0/1 padding). Fused into one graph node for speed.
+    (typically 0/1 padding). Losses of a batch's parts, each divided by the
+    batch's total, sum to the batch's loss. Fused into one graph node.
     """
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -474,9 +477,9 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) 
             f"shape mismatch: logits {logits.shape}, targets {targets.shape}, "
             f"mask {mask.shape}"
         )
-    total = mask.sum()
-    if total <= 0:
-        raise ValueError("masked_cross_entropy needs at least one unmasked position")
+    total = mask.sum() if total is None else float(total)
+    if not total > 0:
+        raise ValueError("masked_cross_entropy needs a positive total")
 
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

@@ -66,6 +66,8 @@ def doane_bin_count(samples: np.ndarray) -> tuple[int, dict]:
     n = x.size
     if n == 0:
         raise DataError("cannot fit bins on an empty sample")
+    if not np.isfinite(x).all():
+        raise DataError("cannot fit bins on NaN or an infinity")
     stats: dict = {"n_samples": int(n)}
     if np.unique(x).size == 1:
         stats.update({"g1": 0.0, "sigma_g1": None, "degenerate": True,
@@ -120,8 +122,10 @@ class BinningSpec:
         maps to the interval's right boundary. Boundary values map to
         themselves, which makes repeated application a fixed point.
         """
-        if isinstance(x, float) and math.isnan(x):
-            raise DataError(f"{self.feature}: cannot discretize NaN")
+        if isinstance(x, float) and not math.isfinite(x):
+            raise DataError(
+                f"{self.feature}: cannot discretize NaN or an infinity, "
+                f"got {x!r}")
         b = self.boundaries
         if x <= b[0]:
             return b[0], 0
@@ -144,8 +148,8 @@ def fit_bins(feature: str, samples) -> BinningSpec:
     x = np.asarray([s for s in samples if s is not None], dtype=np.float64)
     if x.size == 0:
         raise DataError(f"{feature}: no observed values to fit bins on")
-    if np.isnan(x).any():
-        raise DataError(f"{feature}: NaN in training sample")
+    if not np.isfinite(x).all():
+        raise DataError(f"{feature}: NaN or an infinity in training sample")
     count, stats = doane_bin_count(x)
     if stats.get("degenerate"):
         c = float(x[0])
@@ -246,8 +250,11 @@ class FeatureCodec:
                                         f"not in vocabulary")
             return np.array(codes, dtype=np.int64)
         x = np.array([0.0 if v is None else v for v in column], dtype=np.float64)
-        if np.isnan(x).any():
-            raise DataError(f"{self.bins.feature}: cannot discretize NaN")
+        finite = np.isfinite(x)
+        if not finite.all():
+            raise DataError(
+                f"{self.bins.feature}: cannot discretize NaN or an infinity, "
+                f"got {float(x[~finite][0])!r}")
         b = self.bins.boundaries
         codes = np.minimum(np.searchsorted(b, x, side="left"), len(b) - 1) + 1
         codes[[v is None for v in column]] = 0

@@ -49,6 +49,8 @@ def category_names(k: int) -> list[str]:
 
 
 def derive_time_feature(kind: str, t: int) -> int:
+    """One time feature of a timestamp; ``hour`` and ``weekday`` also take an
+    int64 array (numpy's ``//`` and ``%`` floor as Python's do)."""
     if kind == "hour":
         return (t // 3600) % 24
     if kind == "weekday":
@@ -192,7 +194,10 @@ class EventSequence:
         """Raw values for one feature, deriving time features on the fly."""
         if spec.stored:
             return self.values[spec.name]
-        return [derive_time_feature(spec.derive, t) for t in self.timestamps]
+        if spec.derive == "week":
+            return [derive_time_feature("week", t) for t in self.timestamps]
+        return derive_time_feature(
+            spec.derive, np.array(self.timestamps, dtype=np.int64)).tolist()
 
     def tail(self, max_events: int) -> "EventSequence":
         """Keep the most recent ``max_events`` events."""
@@ -330,10 +335,11 @@ def load_jsonl(path: str | Path, schema: Schema,
                 if "t" not in ev:
                     raise DataError(
                         f"line {line_no}: client {client_id!r}: event missing 't'")
-                if not isinstance(ev["t"], int) or isinstance(ev["t"], bool):
+                if not isinstance(ev["t"], int) or isinstance(ev["t"], bool) \
+                        or not -2**63 <= ev["t"] < 2**63:
                     raise DataError(
                         f"line {line_no}: client {client_id!r}: timestamp must be "
-                        f"an integer, got {ev['t']!r}")
+                        f"a 64-bit integer, got {ev['t']!r}")
                 for key in ev:
                     if key != "t" and key not in known:
                         raise DataError(

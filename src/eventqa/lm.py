@@ -171,6 +171,22 @@ def token_rows(tokenizer: Tokenizer, prefix: str, bodies: Sequence[str],
     return TokenRows(prefix_ids, body_ids, body_valid, answer_ids, answer_valid)
 
 
+def length_groups(text: TokenRows) -> list[tuple[np.ndarray, TokenRows]]:
+    """The rows of ``text`` split by body length, shortest first: each
+    group's row indices and its rows trimmed to that length, with the
+    answers trimmed to the group's longest. A group's body holds no PAD."""
+    lengths = text.body_valid.sum(axis=1).astype(np.int64)
+    groups = []
+    for n in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n)
+        width = int(text.answer_valid[rows].sum(axis=1).max())
+        groups.append((rows, TokenRows(
+            text.prefix_ids[rows], text.body_ids[rows, :n],
+            text.body_valid[rows, :n], text.answer_ids[rows, :width],
+            text.answer_valid[rows, :width])))
+    return groups
+
+
 class ToyLm(nn.Module):
     """Encoder-decoder transformer over the closed answer vocabulary."""
 
@@ -203,7 +219,8 @@ class ToyLm(nn.Module):
                ) -> tuple[Tensor, np.ndarray]:
         """Encoder states of the stream [prefix][<seq>][q injected rows]
         [</seq>][body] of every row, and the stream's validity mask.
-        ``injected`` is (B, q, d_model), or None for q = 0."""
+        ``injected`` is (B, q, d_model), or None for q = 0. Rows without
+        PAD attend unmasked, which adds nothing but an all-zero mask."""
         b, p = text.prefix_ids.shape
         if injected is not None and (
                 injected.ndim != 3 or injected.shape[2] != self.config.d_model):
@@ -228,7 +245,7 @@ class ToyLm(nn.Module):
                                axis=1)
         x = ad.add(ad.concat(parts, axis=1),
                    self.pos_enc(np.arange(length)[None, :]))
-        mask = nn.padding_mask(valid)
+        mask = None if text.body_valid.all() else nn.padding_mask(valid)
         for block in self.enc_blocks:
             x = block(x, mask=mask)
         return self.enc_ln(x), valid
@@ -243,21 +260,24 @@ class ToyLm(nn.Module):
                 f"{self.config.max_output_len}")
         x = ad.add(self.tok_emb(dec_ids), self.pos_dec(np.arange(t)[None, :]))
         self_mask = nn.causal_mask(t)
-        cross_mask = nn.padding_mask(enc_valid)
+        cross_mask = None if enc_valid.all() else nn.padding_mask(enc_valid)
         for block in self.dec_blocks:
             x = block(x, mask=self_mask, kv=enc_out, kv_mask=cross_mask)
         return self.lm_head(self.dec_ln(x))
 
-    def answer_loss(self, text: TokenRows, injected: Tensor | None) -> Tensor:
+    def answer_loss(self, text: TokenRows, injected: Tensor | None,
+                    total: float | None = None) -> Tensor:
         """Cross-entropy of the answer tokens (teacher forcing); the decoder
-        input is the BOS-shifted answer row."""
+        input is the BOS-shifted answer row. ``total`` is the answer-token
+        count the sum is divided by (default: this batch's)."""
         answer_ids = text.answer_ids
         dec_in = np.concatenate(
             [np.full((len(answer_ids), 1), BOS, dtype=np.int64),
              answer_ids[:, :-1]], axis=1)
         enc_out, enc_valid = self.encode(text, injected)
         logits = self.decode(dec_in, enc_out, enc_valid)
-        return ad.masked_cross_entropy(logits, answer_ids, text.answer_valid)
+        return ad.masked_cross_entropy(logits, answer_ids, text.answer_valid,
+                                       total)
 
     # ------------------------------------------------------------------
     # generation

@@ -18,6 +18,7 @@ determines every artifact byte for byte.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -41,7 +42,7 @@ from .encoder import EncoderConfig, EventEncoder, NextEventHeads, next_event_los
 from .errors import (ConfigError, DataError, DivergenceError, JsonConfig,
                      config_from_json)
 from .lm import (LoraConfig, Tokenizer, TokenRows, ToyLm, ToyLmConfig,
-                 apply_lora, set_lora_training, token_rows)
+                 apply_lora, length_groups, set_lora_training, token_rows)
 from .metrics import EvalReport, TaskResult, score_baselines, score_task
 from .optim import AdamW, LrSchedule, OptimizerConfig
 from .qa import (DEFAULT_PREFIX, QAPair, QATask, T_BINARY, Unparseable,
@@ -235,21 +236,22 @@ def make_qa_batch(pairs: list[QAPair], sequences: dict[str, EventSequence],
     return QABatch(pairs, windows, window_mask, np.array(window_of), text)
 
 
-def pair_queries(model: PipelineModel, batch: QABatch) -> Tensor:
-    """Each pair's injected rows (pairs, q, d_model). The event tower runs
-    once per distinct window, and a window's gradient is the sum over its
-    pairs."""
+def group_inputs(model: PipelineModel, batch: QABatch):
+    """Yield ``(rows, text, injected)`` per body length of ``batch`` (see
+    ``lm.length_groups``). The event tower runs once per distinct window of
+    the whole batch, and a window's gradient is the sum over its pairs."""
     queries = model.event_queries(batch.windows, batch.window_mask)
-    return ad.embedding(queries, batch.window_of)
+    for rows, text in length_groups(batch.text):
+        yield rows, text, ad.embedding(queries, batch.window_of[rows])
 
 
 def qa_loss(model: PipelineModel, batch: QABatch) -> Tensor:
-    return model.lm.answer_loss(batch.text, pair_queries(model, batch))
-
-
-def _chunks(items: list, size: int):
-    for i in range(0, len(items), size):
-        yield items[i:i + size]
+    """The batch's mean answer-token loss, with one text-model pass per
+    body length, so no stream carries PAD."""
+    total = batch.text.answer_valid.sum()
+    losses = [model.lm.answer_loss(text, injected, total)
+              for _, text, injected in group_inputs(model, batch)]
+    return functools.reduce(ad.add, losses)
 
 
 # ---------------------------------------------------------------------------
@@ -607,25 +609,27 @@ def answer_pairs(model: PipelineModel, pairs: list[QAPair],
                  sequences: dict[str, EventSequence],
                  tasks: dict[str, QATask], codec: DatasetCodec,
                  config: ExperimentConfig) -> tuple[list[str], list[float]]:
-    """Greedy answers to pairs in batches of ``config.eval_batch_size``.
+    """Greedy answers to pairs in batches of ``config.eval_batch_size``,
+    one ``generate`` per body length of a batch.
 
     Returns the generated texts and, per pair, p(Yes) - p(No) at the first
     decoding position (computed for every pair; only binary tasks use it).
     """
     tokenizer = model.lm.tokenizer
-    texts: list[str] = []
-    scores: list[float] = []
-    for chunk in _chunks(pairs, config.eval_batch_size):
-        batch = make_qa_batch(chunk, sequences, tasks, codec, tokenizer,
-                              config)
+    texts: list[str] = [""] * len(pairs)
+    scores = np.zeros(len(pairs))
+    for start in range(0, len(pairs), config.eval_batch_size):
+        batch = make_qa_batch(pairs[start:start + config.eval_batch_size],
+                              sequences, tasks, codec, tokenizer, config)
         with ad.no_grad():
-            chunk_texts, steps = model.lm.generate(
-                batch.text, pair_queries(model, batch))
-        first = steps[0] if steps else np.zeros((len(chunk), tokenizer.size))
-        chunk_scores = first[:, tokenizer.yes_id] - first[:, tokenizer.no_id]
-        texts.extend(chunk_texts)
-        scores.extend(float(s) for s in chunk_scores)
-    return texts, scores
+            for rows, text, injected in group_inputs(model, batch):
+                group_texts, steps = model.lm.generate(text, injected)
+                if steps:
+                    scores[start + rows] = (steps[0][:, tokenizer.yes_id]
+                                            - steps[0][:, tokenizer.no_id])
+                for r, t in zip(start + rows, group_texts):
+                    texts[r] = t
+    return texts, scores.tolist()
 
 
 def load_pipeline(out_dir: str | Path) -> tuple[PipelineModel, ExperimentConfig,

@@ -176,6 +176,29 @@ def test_masked_cross_entropy_gradcheck_and_value():
     assert report["passed"], report["failures"]
 
 
+def test_masked_cross_entropy_with_a_given_total():
+    """Parts of a batch, each divided by the batch's token count, sum to the
+    batch's mean loss; the gradient is checked against central differences."""
+    rng = np.random.default_rng(13)
+    data = rng.normal(size=(3, 4, 5))
+    targets = rng.integers(0, 5, size=(3, 4))
+    mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0], [1, 1, 1, 1]], dtype=float)
+    whole = ad.masked_cross_entropy(Tensor(data), targets, mask).item()
+    parts = [ad.masked_cross_entropy(Tensor(data[rows]), targets[rows],
+                                     mask[rows], total=mask.sum()).item()
+             for rows in ([0, 2], [1])]
+    assert sum(parts) == pytest.approx(whole, rel=1e-14)
+
+    logits = Tensor(data[[1]], requires_grad=True)
+    report = grad_check(
+        lambda: ad.masked_cross_entropy(logits, targets[[1]], mask[[1]],
+                                        total=mask.sum()),
+        {"logits": logits}, tolerance=1e-4)
+    assert report["passed"], report["failures"]
+    with pytest.raises(ValueError, match="positive total"):
+        ad.masked_cross_entropy(logits, targets[[1]], mask[[1]], total=0)
+
+
 def test_concat_getitem_roundtrip_gradients():
     rng = np.random.default_rng(8)
     a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)

@@ -311,6 +311,27 @@ def test_malformed_dataset_line_exits_3(trained_run, config_path, tmp_path,
     assert "data error" in err and f"line {len(lines)}" in err
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                   float("nan")])
+def test_non_finite_real_value_exits_3(config_path, tmp_path, capsys, value):
+    """``Infinity``, ``-Infinity`` or ``NaN`` in a real feature of
+    ``--data`` is a data error naming the feature, not a traceback."""
+    data = tmp_path / "data"
+    assert cli_main(["generate-data", "--config", str(config_path),
+                     "--out", str(data)]) == 0
+    path = data / "dataset.jsonl"
+    lines = []
+    for line in path.read_text().splitlines():
+        record = json.loads(line)
+        record["events"][0]["amount"] = value
+        lines.append(json.dumps(record))
+    path.write_text("\n".join(lines) + "\n")
+    assert cli_main(["fit-codec", "--config", str(config_path),
+                     "--data", str(data), "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "amount: NaN or an infinity" in err
+
+
 @CHECKPOINT_READERS
 def test_empty_checkpoint_dir_exits_3(tmp_path, capsys, argv):
     assert cli_main(argv + ["--out", str(tmp_path)]) == 3

@@ -63,6 +63,16 @@ class TestDoane:
         with pytest.raises(DataError):
             fit_bins("x", [])
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"),
+                                     float("nan")])
+    def test_non_finite_sample_rejected(self, bad):
+        """Doane's rule has no count for a sample holding an infinity (its
+        skewness is NaN); the fit names the feature."""
+        with pytest.raises(DataError, match="NaN or an infinity"):
+            doane_bin_count(np.array([1.0, 2.0, 3.0, bad, 5.0]))
+        with pytest.raises(DataError, match="amount: NaN or an infinity"):
+            fit_bins("amount", [1.0, 2.0, 3.0, bad, 5.0])
+
     def test_shuffle_invariant_boundaries(self):
         rng = np.random.default_rng(3)
         sample = rng.lognormal(0.0, 1.0, size=200)
@@ -110,6 +120,11 @@ class TestDiscretize:
     def test_nan_rejected(self):
         with pytest.raises(DataError):
             self.spec().discretize(float("nan"))
+
+    @pytest.mark.parametrize("x", [float("inf"), float("-inf")])
+    def test_infinity_rejected(self, x):
+        with pytest.raises(DataError, match="NaN or an infinity, got -?inf"):
+            self.spec().discretize(x)
 
     def test_boundaries_are_fixed_points(self):
         spec = self.spec()
@@ -327,6 +342,10 @@ class TestEncodeColumn:
     @given(binned_columns())
     def test_binned_column_matches_discretize(self, drawn):
         fc, column = drawn
+        if any(v is not None and not math.isfinite(v) for v in column):
+            with pytest.raises(DataError, match="NaN or an infinity"):
+                fc.encode_column(column)
+            return
         got = fc.encode_column(column)
         assert got.dtype == np.int64
         assert got.tolist() == per_value_codes(fc, column)
@@ -355,6 +374,14 @@ class TestEncodeColumn:
                           bins=BinningSpec("x", bounds))
         with pytest.raises(DataError, match="x: cannot discretize NaN"):
             fc.encode_column([1.0, float("nan")])
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
+    def test_infinity_raises(self, bad):
+        fc = FeatureCodec(FeatureSpec("x", "real"),
+                          bins=BinningSpec("x", [0.0, 10.0]))
+        with pytest.raises(DataError, match="x: cannot discretize NaN or an "
+                                            "infinity, got -?inf"):
+            fc.encode_column([1.0, None, bad])
 
     def test_encode_batch_matches_per_value_reference(self):
         ds = small_dataset()

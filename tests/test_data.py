@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eventqa.codec import DatasetCodec
 from eventqa.data import (Dataset, EventSequence, FeatureSpec, GeneratorConfig,
                           Schema, dataset_to_jsonl, derive_time_feature,
                           generate_synthetic, load_jsonl, save_jsonl,
@@ -48,6 +49,12 @@ class TestLoadJsonl:
             load_jsonl(path, toy_schema())
         assert "bad" in str(err.value)
         assert "line 2" in str(err.value)
+
+    def test_timestamp_beyond_64_bits_named(self, tmp_path):
+        path = write_lines(tmp_path, [valid_line("c1"),
+                                      valid_line("big", ts=(1, 2**63))])
+        with pytest.raises(DataError, match="line 2.*64-bit integer"):
+            load_jsonl(path, toy_schema())
 
     def test_unknown_feature_rejected(self, tmp_path):
         line = valid_line()
@@ -128,6 +135,40 @@ class TestEventSequence:
         assert derive_time_feature("weekday", 0) == 3
         assert derive_time_feature("weekday", 4 * 86400) == 0  # Monday
         assert derive_time_feature("week", 0) == 1
+
+    @pytest.mark.parametrize("kind", ["hour", "weekday", "week"])
+    def test_time_column_matches_per_timestamp_derivation(self, kind):
+        """hour and weekday are one numpy expression over the timestamps;
+        numpy floors ``//`` and ``%`` as Python does, negatives included."""
+        ts = [-10**9 - 7, -86401, -86400, -3601, -1, 0, 1, 3599, 86399,
+              4 * 86400, 10**9 + 12345]
+        seq = EventSequence("x", ts, {})
+        got = seq.feature_column(FeatureSpec(kind, "time_derived",
+                                             derive=kind))
+        want = [derive_time_feature(kind, t) for t in ts]
+        assert got == want
+        assert all(type(v) is int for v in got)
+
+    def test_long_history_batches_match_per_timestamp_derivation(
+            self, monkeypatch):
+        cfg = generator_config(n_clients=20, events_min=40, events_max=64,
+                               time_derived=["hour", "weekday"], targets=[])
+        ds, _ = generate_synthetic(cfg, seed=5)
+        codec = DatasetCodec.fit(ds)
+        got, got_mask = codec.encode_batch(ds.sequences)
+
+        def per_timestamp(seq, spec):
+            if spec.stored:
+                return seq.values[spec.name]
+            return [derive_time_feature(spec.derive, t)
+                    for t in seq.timestamps]
+
+        monkeypatch.setattr(EventSequence, "feature_column", per_timestamp)
+        want, want_mask = codec.encode_batch(ds.sequences)
+        np.testing.assert_array_equal(got_mask, want_mask)
+        assert set(got) == set(want) >= {"hour", "weekday"}
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], name)
 
 
 class TestSplitByClient:

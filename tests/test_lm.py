@@ -10,8 +10,8 @@ from eventqa import nn
 from eventqa.autodiff import Tensor, backward, grad_check
 from eventqa.errors import ConfigError, DataError
 from eventqa.lm import (BOS, EOS, PAD, SEQ_PREFIX, SEQ_SUFFIX, LoraConfig,
-                        Tokenizer, ToyLm, ToyLmConfig, apply_lora, pad_rows,
-                        token_rows)
+                        Tokenizer, ToyLm, ToyLmConfig, apply_lora,
+                        length_groups, pad_rows, token_rows)
 from eventqa.optim import AdamW, OptimizerConfig
 
 WORDS = ["What", "is", "the", "category", "of", "last", "event", "Answer",
@@ -372,3 +372,54 @@ class TestBatchedForward:
         np.testing.assert_array_equal(
             rows.answer_valid.sum(axis=1), [2, len(alpha) + 1])
         assert rows.prefix_ids.dtype == np.int64
+
+    def test_length_groups_trim_rows_to_their_lengths(self):
+        tok = make_tokenizer()
+        bodies = ["What is the last event?", "Answer yes.", "What is the event?",
+                  "Answer no."]
+        answers = ["alpha 42", "Yes", "Yes", "No"]
+        rows = token_rows(tok, "Given the history", bodies, answers)
+        groups = length_groups(rows)
+        lengths = [len(tok.tokenize(b)) for b in bodies]
+        assert [len(text.body_ids[0]) for _, text in groups] == \
+            sorted(set(lengths))
+        assert sorted(r for g, _ in groups for r in g) == list(range(4))
+        for g, text in groups:
+            assert text.body_valid.all()
+            want = token_rows(tok, "Given the history",
+                              [bodies[r] for r in g], [answers[r] for r in g])
+            for field in ("prefix_ids", "body_ids", "body_valid",
+                          "answer_ids", "answer_valid"):
+                np.testing.assert_array_equal(getattr(text, field),
+                                              getattr(want, field), field)
+
+    def test_unpadded_rows_skip_an_all_zero_mask_bitwise(self, monkeypatch):
+        """Skipping the mask of a batch without PAD changes no bit of the
+        encoder states, the loss or the generated distributions."""
+        lm = tiny_lm(seed=19)
+        rows = token_rows(lm.tokenizer, "Given the history",
+                          ["Answer yes.", "Answer no."], ["Yes", "No"])
+        assert rows.body_valid.all()
+        injected = Tensor(np.random.default_rng(3).normal(size=(2, 3, 16)))
+
+        def outputs():
+            enc, _ = lm.encode(rows, injected)
+            _, steps = lm.generate(rows, injected)
+            return [enc.data, lm.answer_loss(rows, injected).data, *steps]
+
+        skipped = outputs()
+        attention = ad.attention
+        seen = []
+
+        def with_zero_mask(q, k, v, scale, mask=None):
+            seen.append(mask is None)
+            if mask is None:
+                mask = nn.padding_mask(np.ones((k.shape[0], k.shape[2])))
+            return attention(q, k, v, scale, mask)
+
+        monkeypatch.setattr(ad, "attention", with_zero_mask)
+        masked = outputs()
+        assert any(seen)
+        assert len(skipped) == len(masked)
+        for got, want in zip(skipped, masked):
+            assert np.array_equal(got, want)

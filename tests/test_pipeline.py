@@ -18,7 +18,8 @@ from eventqa.connector import ConnectorConfig
 from eventqa.data import Dataset, GeneratorConfig, save_jsonl
 from eventqa.encoder import EncoderConfig
 from eventqa.errors import ConfigError
-from eventqa.lm import LoraConfig, ToyLmConfig
+from eventqa.autodiff import Tensor
+from eventqa.lm import LoraConfig, ToyLmConfig, length_groups
 from eventqa.pipeline import (ExperimentConfig, PipelineModel, StageSchedule,
                               answer_pairs, ask, build_tokenizer,
                               evaluate_stage, fit_codec_stage, generate_data,
@@ -266,11 +267,18 @@ def recording(calls: list, fn):
 
 
 def per_pair_queries(model, batch):
-    """The reference for ``pipeline.pair_queries``: one event-tower row per
+    """The reference for ``pipeline.group_inputs``: one event-tower row per
     pair, each pair with its own copy of its window."""
     rows = batch.window_of
     return model.event_queries({f: w[rows] for f, w in batch.windows.items()},
                                batch.window_mask[rows])
+
+
+def padded_queries(model, batch):
+    """Every pair's injected rows from one event-tower pass per distinct
+    window, for a text-model pass over the whole padded batch."""
+    queries = model.event_queries(batch.windows, batch.window_mask)
+    return ad.embedding(queries, batch.window_of)
 
 
 def counting_tower(rows: list):
@@ -357,19 +365,71 @@ class TestWindowBatches:
         texts, scores = answer_pairs(model, pairs, sequences, tasks, codec,
                                      config)
         tokenizer = model.lm.tokenizer
-        want_texts, want_scores = [], []
+        want_texts, want_scores = [None] * len(pairs), [None] * len(pairs)
         size = config.eval_batch_size
         for i in range(0, len(pairs), size):
             batch = make_qa_batch(pairs[i:i + size], sequences, tasks, codec,
                                   tokenizer, config)
             with ad.no_grad():
+                queries = per_pair_queries(model, batch)
+                for rows, text in length_groups(batch.text):
+                    group_texts, steps = model.lm.generate(
+                        text, Tensor(queries.data[rows]))
+                    group_scores = (steps[0][:, tokenizer.yes_id]
+                                    - steps[0][:, tokenizer.no_id]).tolist()
+                    for r, t, s in zip(rows, group_texts, group_scores):
+                        want_texts[i + r], want_scores[i + r] = t, s
+        assert texts == want_texts
+        assert scores == want_scores
+
+    def test_answers_match_the_padded_batch(self, run):
+        """One generate per body length against one per padded chunk."""
+        model, config, codec, tasks, pairs, sequences = self.pairs(run)
+        texts, scores = answer_pairs(model, pairs, sequences, tasks, codec,
+                                     config)
+        tokenizer = model.lm.tokenizer
+        want_texts, want_scores = [], []
+        size = config.eval_batch_size
+        for i in range(0, len(pairs), size):
+            batch = make_qa_batch(pairs[i:i + size], sequences, tasks, codec,
+                                  tokenizer, config)
+            assert len(length_groups(batch.text)) > 1
+            with ad.no_grad():
                 chunk_texts, steps = model.lm.generate(
-                    batch.text, per_pair_queries(model, batch))
+                    batch.text, padded_queries(model, batch))
             want_texts += chunk_texts
             want_scores += (steps[0][:, tokenizer.yes_id]
                             - steps[0][:, tokenizer.no_id]).tolist()
         assert texts == want_texts
-        assert scores == want_scores
+        np.testing.assert_allclose(scores, want_scores, rtol=0, atol=1e-12)
+
+    def test_split_gradients_match_the_padded_batch(self, run):
+        """The first training step's batch: one text-model pass per body
+        length gives the padded batch's loss and gradients up to rounding."""
+        *_, batches, _ = run
+        model, *_ = self.pairs(run)
+        (pairs, sequences, tasks, codec, _, config), _ = batches[0]
+        batch = make_qa_batch(pairs, sequences, tasks, codec,
+                              model.lm.tokenizer, config)
+        assert len(length_groups(batch.text)) > 1
+        params = model.trainable_parameters()
+
+        def gradients(loss):
+            model.zero_grad()
+            value = loss.item()
+            ad.backward(loss)
+            return value, {n: np.zeros_like(p.data) if p.grad is None
+                           else p.grad.copy() for n, p in params.items()}
+
+        got_loss, got = gradients(pipeline.qa_loss(model, batch))
+        want_loss, want = gradients(model.lm.answer_loss(
+            batch.text, padded_queries(model, batch)))
+        assert got_loss == pytest.approx(want_loss, rel=1e-13)
+        scale = max(np.abs(g).max() for g in want.values())
+        assert scale > 0
+        for name in params:
+            np.testing.assert_allclose(got[name], want[name], rtol=0,
+                                       atol=1e-12 * scale, err_msg=name)
 
     def test_event_tower_runs_once_per_distinct_window(self, run,
                                                        monkeypatch):
