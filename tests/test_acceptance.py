@@ -457,12 +457,13 @@ def test_injected_events_drive_event_dependent_answers(extractive_run):
     acc_full = accuracy(parsed, truths)
 
     # same questions with the event queries zeroed out
-    from eventqa.pipeline import make_qa_batch, _chunks
+    from eventqa.pipeline import make_qa_batch
     sequences = {s.client_id: s for s in val.sequences}
     task_map = {tasks[0].task_id: tasks[0]}
     zero_texts = []
-    for chunk in _chunks(pairs, config.eval_batch_size):
-        batch = make_qa_batch(chunk, sequences, task_map, codec,
+    size = config.eval_batch_size
+    for i in range(0, len(pairs), size):
+        batch = make_qa_batch(pairs[i:i + size], sequences, task_map, codec,
                               model.lm.tokenizer, config)
         of = batch.window_of  # one tower pass per pair, as a reference
         with ad.no_grad():
