@@ -375,8 +375,8 @@ class TestBatchedForward:
 
     def test_length_groups_trim_rows_to_their_lengths(self):
         tok = make_tokenizer()
-        bodies = ["What is the last event?", "Answer yes.", "What is the event?",
-                  "Answer no."]
+        bodies = ["What is the last event?", "Answer yes.",
+                  "What is the event?", "Answer no."]
         answers = ["alpha 42", "Yes", "Yes", "No"]
         rows = token_rows(tok, "Given the history", bodies, answers)
         groups = length_groups(rows)

@@ -11,6 +11,7 @@ import pytest
 
 from eventqa import autodiff as ad
 from eventqa import pipeline
+from eventqa.autodiff import Tensor
 from eventqa.checkpoint import load_checkpoint
 from eventqa.cli import main as cli_main
 from eventqa.codec import DatasetCodec
@@ -18,7 +19,6 @@ from eventqa.connector import ConnectorConfig
 from eventqa.data import Dataset, GeneratorConfig, save_jsonl
 from eventqa.encoder import EncoderConfig
 from eventqa.errors import ConfigError
-from eventqa.autodiff import Tensor
 from eventqa.lm import LoraConfig, ToyLmConfig, length_groups
 from eventqa.pipeline import (ExperimentConfig, PipelineModel, StageSchedule,
                               answer_pairs, ask, build_tokenizer,
