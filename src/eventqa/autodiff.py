@@ -22,6 +22,8 @@ _GRAD_ENABLED = True
 # float64, so masked attention slots contribute nothing, bit for bit.
 NEG_INF = -1e9
 
+LAYER_NORM_EPS = 1e-5
+
 
 @contextmanager
 def no_grad():
@@ -38,14 +40,13 @@ def no_grad():
 class Tensor:
     """A dense float64 array plus optional autodiff bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
@@ -80,8 +81,7 @@ class Tensor:
             self.grad += g
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # operator sugar; the module-level functions do the work
     def __add__(self, other):
@@ -340,18 +340,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def lora_linear(x: Tensor, w: Tensor, b: Tensor, a: Tensor,
-                bm: Tensor, scale: float,
-                keep: np.ndarray | None = None) -> Tensor:
-    """``x @ w + b + scale * ((x * keep) @ a) @ bm`` as one graph node;
-    without the dropout mask ``keep`` it is one GEMM on the merged weight
-    ``w + scale * a @ bm``. A frozen ``w`` or ``b`` gets no gradient."""
+                bm: Tensor, scale: float) -> Tensor:
+    """``x @ w + b + scale * (x @ a) @ bm`` as one graph node and one GEMM
+    on the merged weight ``w + scale * a @ bm``. A frozen ``w`` or ``b``
+    gets no gradient."""
     x2 = x.data.reshape(-1, x.shape[-1])
-    if keep is None:
-        xd, w_eff = x2, w.data + scale * (a.data @ bm.data)
-        out = x2 @ w_eff
-    else:
-        xd, w_eff = x2 * keep.reshape(x2.shape), w.data
-        out = x2 @ w_eff + (scale * (xd @ a.data)) @ bm.data
+    w_eff = w.data + scale * (a.data @ bm.data)
+    out = x2 @ w_eff
     out += b.data
     data = out.reshape(x.shape[:-1] + (w.shape[1],))
 
@@ -361,16 +356,12 @@ def lora_linear(x: Tensor, w: Tensor, b: Tensor, a: Tensor,
             w.accumulate_grad(x2.T @ g2, owned=True)
         if b.requires_grad:
             b.accumulate_grad(g2.sum(axis=0), owned=True)
-        gxa = scale * (g2 @ bm.data.T)
         if a.requires_grad:
-            a.accumulate_grad(xd.T @ gxa, owned=True)
+            a.accumulate_grad(x2.T @ (scale * (g2 @ bm.data.T)), owned=True)
         if bm.requires_grad:
-            bm.accumulate_grad(scale * ((xd @ a.data).T @ g2), owned=True)
+            bm.accumulate_grad(scale * ((x2 @ a.data).T @ g2), owned=True)
         if x.requires_grad:
-            gx = g2 @ w_eff.T
-            if keep is not None:
-                gx += (gxa @ a.data.T) * keep.reshape(x2.shape)
-            x.accumulate_grad(gx.reshape(x.shape), owned=True)
+            x.accumulate_grad((g2 @ w_eff.T).reshape(x.shape), owned=True)
 
     return _make(data, (x, w, b, a, bm), backward)
 
@@ -435,12 +426,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis of ``x`` then apply the affine (gamma, beta)."""
     d = x.shape[-1]  # np.add.reduce / d is ndarray.mean, minus its wrapper
     xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-                        + eps)
+                        + LAYER_NORM_EPS)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
 

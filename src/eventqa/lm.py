@@ -129,11 +129,11 @@ class ToyLmConfig(JsonConfig):
 class LoraConfig(JsonConfig):
     rank: int = 4
     alpha: float = 32.0
-    dropout: float = 0.0
+    dropout: float = 0.0    # must be 0; kept so config hashes hold
 
     def __post_init__(self):
-        if self.rank < 1 or not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"need rank >= 1 and dropout in [0, 1), got "
+        if self.rank < 1 or self.dropout != 0.0:
+            raise ConfigError(f"need rank >= 1 and dropout 0, got "
                               f"rank {self.rank}, dropout {self.dropout}")
 
 
@@ -345,8 +345,7 @@ def apply_lora(model: ToyLm, config: LoraConfig,
             if isinstance(child, nn.MultiHeadAttention):
                 for proj_name in ("wq", "wv"):
                     base = getattr(child, proj_name)
-                    wrapped = nn.LoraLinear(base, config.rank, config.alpha,
-                                            rng, dropout=config.dropout)
+                    wrapped = nn.LoraLinear(base, config.rank, config.alpha, rng)
                     setattr(child, proj_name, wrapped)
                     adapted.append({
                         "matrix": f"{child_path}{proj_name}",
@@ -368,15 +367,3 @@ def apply_lora(model: ToyLm, config: LoraConfig,
         "rank": config.rank,
         "alpha": config.alpha,
     }
-
-
-def set_lora_training(model: ToyLm, training: bool) -> None:
-    """Toggle adapter dropout (training) vs deterministic eval behavior."""
-
-    def visit(module: nn.Module):
-        for child in module._modules.values():
-            if isinstance(child, nn.LoraLinear):
-                child.training = training
-            visit(child)
-
-    visit(model)

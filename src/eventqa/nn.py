@@ -86,11 +86,11 @@ class Linear(Module):
     """Affine map x @ w + b applied to the last axis."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 scale: float | None = None, zeros: bool = False):
+                 zeros: bool = False):
         super().__init__()
         self.d_in = d_in
         self.d_out = d_out
-        self.w = param(rng, (d_in, d_out), scale=scale, zeros=zeros)
+        self.w = param(rng, (d_in, d_out), zeros=zeros)
         self.b = param(rng, (d_out,), zeros=True)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -105,11 +105,10 @@ class LoraLinear(Module):
     Forward is x @ (w + (alpha/r) * a @ b) + bias with a of shape (d_in, r)
     and b of shape (r, d_out), one ``ad.lora_linear`` node. b starts at zero
     so the adapted map equals the base map exactly until the first update.
-    Dropout (training only) masks the adapter input with draws from ``rng``.
     """
 
     def __init__(self, base: Linear, rank: int, alpha: float,
-                 rng: np.random.Generator | None, dropout: float = 0.0):
+                 rng: np.random.Generator | None):
         super().__init__()
         if not 0 < rank < min(base.d_in, base.d_out):
             raise ValueError(
@@ -117,39 +116,30 @@ class LoraLinear(Module):
                 f"{min(base.d_in, base.d_out)})")
         self.base = base
         self.scaling = alpha / rank
-        self.dropout_p = dropout
         self.lora_a = param(rng, (base.d_in, rank), scale=0.01)
         self.lora_b = param(rng, (rank, base.d_out), zeros=True)
-        self._rng = rng
-        self.training = True
 
     def __call__(self, x: Tensor) -> Tensor:
-        keep = None
-        if self.dropout_p > 0.0 and self.training:
-            keep = ((self._rng.random(x.shape) >= self.dropout_p)
-                    / (1.0 - self.dropout_p))
         return ad.lora_linear(x, self.base.w, self.base.b, self.lora_a,
-                              self.lora_b, self.scaling, keep)
+                              self.lora_b, self.scaling)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         super().__init__()
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return ad.layer_norm(x, self.gamma, self.beta)
 
 
 class Embedding(Module):
-    def __init__(self, rows: int, dim: int, rng: np.random.Generator,
-                 scale: float = 0.1):
+    def __init__(self, rows: int, dim: int, rng: np.random.Generator):
         super().__init__()
         self.rows = rows
         self.dim = dim
-        self.table = param(rng, (rows, dim), scale=scale)
+        self.table = param(rng, (rows, dim), scale=0.1)
 
     def __call__(self, indices: np.ndarray) -> Tensor:
         return ad.embedding(self.table, indices)

@@ -21,9 +21,9 @@ class LrSchedule(JsonConfig):
     """
 
     peak_lr: float
-    min_lr: float = 0.0
-    warmup_steps: int = 0
-    cycle_length: int = 1000
+    min_lr: float
+    warmup_steps: int
+    cycle_length: int
 
     def __post_init__(self):
         if self.min_lr < 0 or self.peak_lr < self.min_lr:

@@ -12,7 +12,8 @@ The build has three trained stages, all driven by one ExperimentConfig:
      templated questions about injected event sequences.
 
 Every stage derives its randomness from the config seed, so (config, seed)
-determines every artifact byte for byte.
+determines every artifact byte for byte with the same BLAS build and thread
+setting.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .encoder import EncoderConfig, EventEncoder, NextEventHeads, next_event_los
 from .errors import (ConfigError, DataError, DivergenceError, JsonConfig,
                      config_from_json)
 from .lm import (LoraConfig, Tokenizer, TokenRows, ToyLm, ToyLmConfig,
-                 apply_lora, length_groups, set_lora_training, token_rows)
+                 apply_lora, length_groups, token_rows)
 from .metrics import EvalReport, TaskResult, score_baselines, score_task
 from .optim import AdamW, LrSchedule, OptimizerConfig
 from .qa import (DEFAULT_PREFIX, QAPair, QATask, T_BINARY, Unparseable,
@@ -61,8 +62,9 @@ class StageSchedule(JsonConfig):
     cycle_length: int | None = None     # defaults to the post-warmup length
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError(f"epochs and batch_size must be >= 1, got "
+                              f"{self.epochs} and {self.batch_size}")
         self.schedule(1)  # raises ConfigError for a bad rate schedule
 
     def schedule(self, total_steps: int) -> LrSchedule:
@@ -95,6 +97,9 @@ class ExperimentConfig(JsonConfig):
     eval_batch_size: int = 64
 
     def __post_init__(self):
+        if self.eval_batch_size < 1:
+            raise ConfigError(
+                f"eval_batch_size must be >= 1, got {self.eval_batch_size}")
         task_ids = [t.task_id for t in build_tasks(self.tasks)]
         for held in self.held_out_tasks:
             if held not in task_ids:
@@ -517,14 +522,12 @@ def train_stage(config: ExperimentConfig, train: Dataset, val: Dataset,
         raise DataError("no usable training pairs under the length policy")
 
     n_batches = max(1, len(pairs) // config.train.batch_size)
-    set_lora_training(model.lm, True)
     optimizer = AdamW(model.trainable_parameters(), config.optimizer)
     curve = run_training(
         lambda batch: qa_loss(model, batch), optimizer, config, "train",
         pairs, n_batches,
         lambda chosen: make_qa_batch(chosen, sequences, tasks, codec,
                                      tokenizer, config))
-    set_lora_training(model.lm, False)
 
     base_hash_after = _hash_named(model.lm, base_frozen_names)
     if base_hash_after != base_hash_before:
@@ -635,7 +638,7 @@ def answer_pairs(model: PipelineModel, pairs: list[QAPair],
 def load_pipeline(out_dir: str | Path) -> tuple[PipelineModel, ExperimentConfig,
                                                 DatasetCodec, dict]:
     """The trained pipeline in ``out_dir`` for inference: built without a
-    generator (no draws, no adapter dropout), parameters from pipeline.bin."""
+    generator (no draws), parameters from pipeline.bin."""
     out = Path(out_dir)
     tensors, sidecar = load_checkpoint(out / "pipeline")
     config = ExperimentConfig.from_json(sidecar["config"])
@@ -643,7 +646,6 @@ def load_pipeline(out_dir: str | Path) -> tuple[PipelineModel, ExperimentConfig,
     tokenizer = Tokenizer.from_json(sidecar["tokenizer"])
     model = PipelineModel(codec, tokenizer, config, None)
     apply_lora(model.lm, config.lora, None)
-    set_lora_training(model.lm, False)
     load_params(model.parameters(), tensors)
     return model, config, codec, sidecar
 

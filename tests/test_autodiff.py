@@ -387,36 +387,32 @@ def test_linear_frozen_weight_gets_no_gradient():
     assert w.grad is None
 
 
-def _lora_case(shape, live_bias, masked, frozen_base=False):
-    """(x, w, b, a, bm, keep) with a nonzero ``bm`` so every input matters."""
-    rng = np.random.default_rng(len(shape) + 10 * live_bias + 100 * masked)
+def _lora_case(shape, live_bias, frozen_base=False):
+    """(x, w, b, a, bm) with a nonzero ``bm`` so every input matters."""
+    rng = np.random.default_rng(len(shape) + 10 * live_bias)
     live = not frozen_base
     x = Tensor(rng.normal(size=shape), requires_grad=True)
     w = Tensor(rng.normal(size=(shape[-1], 3)), requires_grad=live)
     b = Tensor(rng.normal(size=3), requires_grad=live and live_bias)
     a = Tensor(rng.normal(size=(shape[-1], 2)), requires_grad=True)
     bm = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    keep = (rng.random(shape) >= 0.3) / 0.7 if masked else None
-    return x, w, b, a, bm, keep
+    return x, w, b, a, bm
 
 
-def _composed_lora(x, w, b, a, bm, scale, keep=None):
-    xd = x if keep is None else ad.mul(x, Tensor(keep))
-    delta = ad.matmul(ad.matmul(xd, a), bm)
+def _composed_lora(x, w, b, a, bm, scale):
+    delta = ad.matmul(ad.matmul(x, a), bm)
     return ad.add(ad.add(ad.matmul(x, w), b), ad.mul(delta, Tensor(scale)))
 
 
-@pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
 @pytest.mark.parametrize("live_bias", [True, False])
-def test_lora_linear_gradcheck_and_matches_composed_ops(shape, live_bias,
-                                                        masked):
-    x, w, b, a, bm, keep = _lora_case(shape, live_bias, masked)
+def test_lora_linear_gradcheck_and_matches_composed_ops(shape, live_bias):
+    x, w, b, a, bm = _lora_case(shape, live_bias)
     params = {"x": x, "w": w, "a": a, "bm": bm} | ({"b": b} if live_bias else {})
     weights = Tensor(np.random.default_rng(5).normal(size=shape[:-1] + (3,)))
     scale = 1.5
     report = grad_check(
-        lambda: ad.tsum(ad.mul(ad.lora_linear(x, w, b, a, bm, scale, keep),
+        lambda: ad.tsum(ad.mul(ad.lora_linear(x, w, b, a, bm, scale),
                                weights)), params, tolerance=1e-4)
     assert report["passed"], report["failures"]
 
@@ -424,7 +420,7 @@ def test_lora_linear_gradcheck_and_matches_composed_ops(shape, live_bias,
     for op in (ad.lora_linear, _composed_lora):
         for p in params.values():
             p.zero_grad()
-        out = op(x, w, b, a, bm, scale, keep)
+        out = op(x, w, b, a, bm, scale)
         backward(ad.tsum(ad.mul(out, weights)))
         results.append([out.data] + [p.grad.copy() for p in params.values()])
     for fused, reference in zip(*results):
@@ -432,12 +428,10 @@ def test_lora_linear_gradcheck_and_matches_composed_ops(shape, live_bias,
     assert live_bias or b.grad is None
 
 
-@pytest.mark.parametrize("masked", [False, True])
-def test_lora_linear_frozen_base_gets_no_gradient(masked):
-    x, w, b, a, bm, keep = _lora_case((2, 3, 4), True, masked,
-                                      frozen_base=True)
+def test_lora_linear_frozen_base_gets_no_gradient():
+    x, w, b, a, bm = _lora_case((2, 3, 4), True, frozen_base=True)
     report = grad_check(
-        lambda: _weighted(ad.lora_linear(x, w, b, a, bm, 2.0, keep),
+        lambda: _weighted(ad.lora_linear(x, w, b, a, bm, 2.0),
                           np.random.default_rng(3)),
         {"x": x, "a": a, "bm": bm}, tolerance=1e-4)
     assert report["passed"], report["failures"]

@@ -122,6 +122,9 @@ def test_full_cli_workflow(config_path, tmp_path, capsys):
     ("generate-data", "encoder.architecture=gru", ["'encoder'", "architecture"]),
     ("pretrain-encoder", "pretrain.restart_multiplier=2.0",
      ["'pretrain'", "restart_multiplier"]),
+    ("pretrain-encoder", "lora.dropout=0.1", ["'lora'", "dropout"]),
+    ("pretrain-encoder", "warmup.epochs=0", ["'warmup'", "epochs"]),
+    ("pretrain-encoder", "eval_batch_size=0", ["eval_batch_size"]),
 ])
 def test_bad_nested_config_value_exits_2(config_path, tmp_path, capsys,
                                          command, override, named):

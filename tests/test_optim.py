@@ -121,15 +121,18 @@ class TestLrSchedule:
         assert s.lr_at(20) == pytest.approx(0.3)
 
     def test_negative_step_rejected(self):
-        s = LrSchedule(peak_lr=1.0)
+        s = LrSchedule(peak_lr=1.0, min_lr=0.0, warmup_steps=0,
+                       cycle_length=1000)
         with pytest.raises(ValueError):
             s.lr_at(-1)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            LrSchedule(peak_lr=0.1, min_lr=0.2)
+            LrSchedule(peak_lr=0.1, min_lr=0.2, warmup_steps=0,
+                       cycle_length=1000)
         with pytest.raises(ValueError):
-            LrSchedule(peak_lr=0.1, cycle_length=0)
+            LrSchedule(peak_lr=0.1, min_lr=0.0, warmup_steps=0,
+                       cycle_length=0)
 
     def test_json_roundtrip(self):
         s = LrSchedule(peak_lr=0.3, min_lr=0.01, warmup_steps=5,
