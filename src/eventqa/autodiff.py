@@ -83,46 +83,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; the module-level functions do the work
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return getitem(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
@@ -162,19 +124,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             gb = _unbroadcast(g, b.shape)
             b.accumulate_grad(gb, owned=gb is not g)
-
-    return _make(data, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.shape)
-            a.accumulate_grad(ga, owned=ga is not g)
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.shape), owned=True)
 
     return _make(data, (a, b), backward)
 

@@ -53,7 +53,7 @@ def _load_config(args) -> ExperimentConfig:
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     payload = _apply_overrides(payload, args.set or [])
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         payload["seed"] = args.seed
     return ExperimentConfig.from_json(payload)
 
@@ -152,12 +152,8 @@ def cmd_baseline(args) -> int:
     config = _load_config(args)
     _, train, val = load_splits(config, args.data)
     codec = fit_codec_stage(config, train)
-    tasks = config.built_tasks()
-    if args.tasks:
-        wanted = set(args.tasks.split(","))
-        tasks = [t for t in tasks if t.task_id in wanted]
-        if not tasks:
-            raise ConfigError(f"no tasks match {sorted(wanted)}")
+    tasks = (config.select_tasks(args.tasks.split(",")) if args.tasks
+             else config.built_tasks())
     val_pairs = config.corpus(val, tasks, codec)
     for task in tasks:
         truths = [p.truth for p in val_pairs if p.task_id == task.task_id]
@@ -179,22 +175,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Question answering over structured event sequences")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True,
-                           help="experiment config JSON")
-            p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                           help="dotted config override, e.g. train.epochs=2")
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the config seed")
+    def config_args(p):
+        p.add_argument("--config", required=True,
+                       help="experiment config JSON")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="dotted config override, e.g. train.epochs=2")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the config seed")
+
+    def common(p):
+        config_args(p)
         p.add_argument("--data", default=None,
                        help="directory with dataset.jsonl/schema.json "
                             "(default: regenerate from the config)")
 
     p = sub.add_parser("generate-data", help="write a synthetic dataset")
-    p.add_argument("--config", required=True)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--seed", type=int, default=None)
+    config_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate_data)
 
@@ -239,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="statistical baselines on the val split")
     common(p)
-    p.add_argument("--tasks", default=None)
+    p.add_argument("--tasks", default=None, help="comma-separated task ids")
     p.set_defaults(func=cmd_baseline)
 
     return parser

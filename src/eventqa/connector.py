@@ -71,13 +71,10 @@ class Connector(nn.Module):
         self.proj = nn.Linear(config.d_model, config.d_out, rng)
 
     def _recency_indices(self, valid: np.ndarray) -> np.ndarray:
+        """Steps back from each row's last event (rows are left-aligned);
+        padding slots get 0."""
         lengths = valid.sum(axis=1).astype(np.int64)
-        b, length = valid.shape
-        idx = np.zeros((b, length), dtype=np.int64)
-        for row in range(b):
-            n = lengths[row]
-            idx[row, :n] = np.arange(n - 1, -1, -1)
-        return idx
+        return np.maximum(lengths[:, None] - 1 - np.arange(valid.shape[1]), 0)
 
     def forward(self, enc_out: Tensor,
                 valid: np.ndarray | None = None) -> Tensor:

@@ -280,8 +280,7 @@ def save_jsonl(dataset: Dataset, path: str | Path) -> None:
     atomic_write_text(Path(path), dataset_to_jsonl(dataset))
 
 
-def load_jsonl(path: str | Path, schema: Schema,
-               split: str = "train") -> Dataset:
+def load_jsonl(path: str | Path, schema: Schema) -> Dataset:
     """Parse and validate one JSON object per line into a Dataset.
 
     Events must already be sorted by timestamp; violations are reported (with
@@ -355,7 +354,7 @@ def load_jsonl(path: str | Path, schema: Schema,
                     client_id, timestamps, columns, targets))
             except DataError as e:
                 raise DataError(f"line {line_no}: {e}") from None
-    return Dataset(schema, sequences, split=split)
+    return Dataset(schema, sequences)
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,9 @@ class Module:
             out.update(mod.parameters(prefix=f"{prefix}{name}."))
         return out
 
-    def trainable_parameters(self, prefix: str = "") -> "OrderedDict[str, Tensor]":
+    def trainable_parameters(self) -> "OrderedDict[str, Tensor]":
         return OrderedDict(
-            (k, v) for k, v in self.parameters(prefix).items() if v.requires_grad
+            (k, v) for k, v in self.parameters().items() if v.requires_grad
         )
 
     def zero_grad(self) -> None:
@@ -53,19 +53,11 @@ class Module:
 class ModuleList(Module):
     def __init__(self, modules):
         super().__init__()
-        self._items = []
         for i, m in enumerate(modules):
             self._modules[str(i)] = m
-            self._items.append(m)
 
     def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, i):
-        return self._items[i]
+        return iter(self._modules.values())
 
 
 def param(rng: np.random.Generator | None, shape, scale: float | None = None,
@@ -137,7 +129,6 @@ class LayerNorm(Module):
 class Embedding(Module):
     def __init__(self, rows: int, dim: int, rng: np.random.Generator):
         super().__init__()
-        self.rows = rows
         self.dim = dim
         self.table = param(rng, (rows, dim), scale=0.1)
 

@@ -146,14 +146,27 @@ class ExperimentConfig(JsonConfig):
     def built_tasks(self) -> list[QATask]:
         return build_tasks(self.tasks)
 
+    def select_tasks(self, task_ids: list[str]) -> list[QATask]:
+        """The built tasks named by ``task_ids``, in that order. An unknown
+        or repeated id is a config error naming it."""
+        by_id = {t.task_id: t for t in self.built_tasks()}
+        seen: set[str] = set()
+        for task_id in task_ids:
+            if task_id not in by_id:
+                raise ConfigError(f"unknown task id {task_id!r}; known: "
+                                  f"{sorted(by_id)}")
+            if task_id in seen:
+                raise ConfigError(f"task id {task_id!r} is given twice")
+            seen.add(task_id)
+        return [by_id[t] for t in task_ids]
+
     def corpus(self, dataset: Dataset, tasks: list[QATask],
-               codec: DatasetCodec, seed: int | None = None) -> list[QAPair]:
-        """``build_corpus`` with this config's corpus seed (derived from
-        ``seed`` when given), prefix and length policy."""
-        return build_corpus(
-            dataset, tasks, codec,
-            derived_seed(self.seed if seed is None else seed, "corpus"),
-            self.prefix, self.min_seq_len, self.max_seq_len)
+               codec: DatasetCodec) -> list[QAPair]:
+        """``build_corpus`` with this config's corpus seed, prefix and length
+        policy."""
+        return build_corpus(dataset, tasks, codec,
+                            derived_seed(self.seed, "corpus"), self.prefix,
+                            self.min_seq_len, self.max_seq_len)
 
     def trained_task_ids(self) -> list[str]:
         return [t["id"] for t in self.tasks
@@ -592,8 +605,7 @@ def _task_vocab(task: QATask, codec: DatasetCodec) -> list | None:
 
 
 def run_inference(model: PipelineModel, dataset: Dataset, tasks: list[QATask],
-                  codec: DatasetCodec, config: ExperimentConfig,
-                  seed: int | None = None
+                  codec: DatasetCodec, config: ExperimentConfig
                   ) -> tuple[list[QAPair], list[EventSequence], list[str],
                              list[float]]:
     """Generate answers for every admitted (sequence, task) pair.
@@ -601,7 +613,7 @@ def run_inference(model: PipelineModel, dataset: Dataset, tasks: list[QATask],
     Returns (pairs, sequences, generated texts, Yes/No scores) as
     ``answer_pairs`` computes them.
     """
-    pairs = config.corpus(dataset, tasks, codec, seed)
+    pairs = config.corpus(dataset, tasks, codec)
     sequences = {s.client_id: s for s in dataset.sequences}
     texts, scores = answer_pairs(model, pairs, sequences,
                                  {t.task_id: t for t in tasks}, codec, config)
@@ -662,13 +674,10 @@ def evaluate_stage(out_dir: str | Path, dataset: Dataset,
     """
     model, config, codec, sidecar = load_pipeline(out_dir)
     manifest = sidecar["manifest"]
-    all_tasks = {t.task_id: t for t in config.built_tasks()}
     if task_ids is None:
         task_ids = (manifest["held_out_tasks"] if zero_shot
                     else manifest["trained_tasks"])
-    unknown = [t for t in task_ids if t not in all_tasks]
-    if unknown:
-        raise ConfigError(f"unknown task ids: {unknown}")
+    tasks = config.select_tasks(task_ids)
     if zero_shot:
         trained = set(manifest["trained_tasks"])
         bad = [t for t in task_ids if t in trained]
@@ -681,7 +690,6 @@ def evaluate_stage(out_dir: str | Path, dataset: Dataset,
         if missing:
             raise ConfigError(
                 f"zero-shot tasks {missing} are not in the held-out set")
-    tasks = [all_tasks[t] for t in task_ids]
 
     pairs, _, texts, scores = run_inference(model, dataset, tasks, codec,
                                             config)

@@ -87,7 +87,6 @@ class QAPair:
     body: str
     truth: object
     answer: str
-    options: list | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +435,7 @@ def build_pair(task: QATask, seq: EventSequence, codec: DatasetCodec,
     truth = ground_truth(task, seq, codec, slots)
     return QAPair(task_id=task.task_id, client_id=seq.client_id,
                   prefix=prefix_text, body=body, truth=truth,
-                  answer=serialize_answer(truth, task),
-                  options=slots.get("options"))
+                  answer=serialize_answer(truth, task))
 
 
 def eligible(task: QATask, seq: EventSequence) -> bool:

@@ -40,8 +40,8 @@ def canned_doc() -> dict:
     return {"schema": bench.SCHEMA, "command": "benchmark/run.py --trace 0",
             "machine": {"nproc": 2, "numpy": "2", "blas": {},
                         "thread_env": {}},
-            "base": {"rev": "a", "commit": "1" * 40},
-            "head": {"rev": "b", "commit": "2" * 40},
+            "base": {"rev": "a", "commit": "1" * 40, "src_lines": 4653},
+            "head": {"rev": "b", "commit": "2" * 40, "src_lines": 4585},
             "better": BETTER, "runs": runs,
             "summary": bench.summarize(runs, BETTER)}
 
@@ -70,10 +70,11 @@ def test_incomplete_pair_and_incorrect_run_are_reported():
 @pytest.mark.parametrize("damage", [
     lambda d: d.pop("machine"),
     lambda d: d["head"].pop("commit"),
+    lambda d: d["base"].pop("src_lines"),
     lambda d: d["machine"].pop("blas"),
     lambda d: d["runs"][0]["result"]["metrics"].pop("ask_p50_ms"),
     lambda d: d["summary"]["serve"]["metrics"]["ask_p50_ms"].update(wins=3),
-], ids=["machine", "commit", "blas", "metric", "summary"])
+], ids=["machine", "commit", "src_lines", "blas", "metric", "summary"])
 def test_validate_rejects_incomplete_documents(damage):
     doc = canned_doc()
     bench.validate(doc)
@@ -88,6 +89,17 @@ def test_plan_parsing():
     assert bench.parse_plan("finetune:9") == ("finetune", [9])
 
 
+def test_src_lines_counts_package_python_lines(tmp_path):
+    package = tmp_path / "src" / "eventqa"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "sub" / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "t.py").write_text("not counted\n")
+    assert bench.src_lines(tmp_path) == 4
+
+
 def test_committed_bench_files_are_valid():
     files = sorted(ROOT.glob("BENCH_*.json"))
     assert files
@@ -99,7 +111,9 @@ def test_failed_run_keeps_finished_runs(tmp_path, monkeypatch, capsys):
     """The third run fails: the document keeps the two finished runs and
     names the failed one, and the exit status is non-zero."""
     def fake_export(rev, into):
-        into.mkdir(parents=True)
+        (into / "src" / "eventqa").mkdir(parents=True)
+        (into / "src" / "eventqa" / "m.py").write_text(
+            "pass\n" * (3 if rev == "a" else 2))
         (into / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
             {"name": name, "better": better}
             for name, better in BETTER.items()]}))
@@ -125,4 +139,5 @@ def test_failed_run_keeps_finished_runs(tmp_path, monkeypatch, capsys):
                                  "side": "head", "exit_code": 7,
                                  "stderr_tail": "Traceback ...\nValueError: boom"}
     assert doc["summary"]["serve"]["pairs"] == 1
+    assert (doc["base"]["src_lines"], doc["head"]["src_lines"]) == (3, 2)
     assert "boom" in capsys.readouterr().err

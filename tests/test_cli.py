@@ -281,6 +281,21 @@ def test_missing_data_dir_exits_3(trained_run, tmp_path, capsys):
     assert "data error" in err and str(data / "schema.json") in err
 
 
+@pytest.mark.parametrize("command,tasks,named", [
+    ("eval", "last_category,last_category", "'last_category' is given twice"),
+    ("baseline", "last_category,no_such_task", "'no_such_task'"),
+    ("baseline", "last_category,last_category",
+     "'last_category' is given twice"),
+])
+def test_bad_task_selection_exits_2(trained_run, config_path, capsys,
+                                    command, tasks, named):
+    source = (["--out", str(trained_run)] if command == "eval"
+              else ["--config", str(config_path)])
+    assert cli_main([command, *source, "--tasks", tasks]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+
+
 def replacing(key, value):
     return lambda line: json.dumps({**json.loads(line), key: value}).encode()
 

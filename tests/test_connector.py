@@ -97,6 +97,22 @@ class TestCrossAttentionWiring:
             batch = conn.forward(Tensor(padded), valid=valid).data
         np.testing.assert_allclose(batch, alone, atol=1e-10)
 
+    def test_recency_indices_match_per_row_reference(self):
+        conn = tiny_connector()
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            width = int(rng.integers(1, 13))
+            lengths = rng.integers(1, width + 1, size=int(rng.integers(1, 6)))
+            lengths[0] = 1           # a length-1 row
+            lengths[-1] = width      # a full row
+            valid = (np.arange(width) < lengths[:, None]).astype(np.float64)
+            expected = np.zeros(valid.shape, dtype=np.int64)
+            for row, n in enumerate(lengths):
+                expected[row, :n] = np.arange(n - 1, -1, -1)
+            got = conn._recency_indices(valid)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, expected)
+
 
 class TestGradients:
     def test_query_set_gradient_matches_finite_differences(self):

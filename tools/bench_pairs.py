@@ -13,7 +13,8 @@ affects both sides alike. Usage::
 Each ``--plan`` names a workload and an inclusive range of seeds, one pair
 per seed. The summary gives, per workload and end-to-end metric, the median
 and quartiles of each side, the head/base ratio of the medians, and the
-number of pairs in which the head was better. If a run fails, the runs
+number of pairs in which the head was better. Each side also records the
+line count of its ``src/eventqa`` Python files. If a run fails, the runs
 made so far are still written, with the failed run's workload, seed, side,
 exit code and the end of its stderr under ``failed_run``, and the exit
 status is 1.
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = 1
+SCHEMA = 2   # 2: each side records ``src_lines``
 SIDES = ("base", "head")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -82,11 +83,14 @@ def validate(doc: dict) -> None:
                 "runs", "summary"):
         if key not in doc:
             raise ValueError(f"BENCH document lacks {key!r}")
-    if doc["schema"] != SCHEMA:
+    if doc["schema"] not in (1, SCHEMA):
         raise ValueError(f"unknown BENCH schema {doc['schema']!r}")
     for side in SIDES:
         if not doc[side].get("commit"):
             raise ValueError(f"{side} has no commit id")
+        if doc["schema"] >= 2 and not isinstance(doc[side].get("src_lines"),
+                                                 int):
+            raise ValueError(f"{side} has no src/eventqa line count")
     for key in ("nproc", "numpy", "blas", "thread_env"):
         if key not in doc["machine"]:
             raise ValueError(f"machine info lacks {key!r}")
@@ -118,6 +122,13 @@ def export(rev: str, into: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
     return commit
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines in the checkout's ``src/eventqa`` Python files, as ``wc -l``
+    counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "eventqa").rglob("*.py"))
 
 
 class RunFailed(Exception):
@@ -159,6 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         checkouts = {side: Path(tmp) / side for side in SIDES}
         commits = {side: export(getattr(args, side), checkouts[side])
                    for side in SIDES}
+        lines = {side: src_lines(checkouts[side]) for side in SIDES}
         spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         runs, failed = [], None
@@ -182,8 +194,10 @@ def main(argv: list[str] | None = None) -> int:
     doc = {"schema": SCHEMA,
            "command": "benchmark/run.py --trace 0",
            "machine": machine_info(),
-           "base": {"rev": args.base, "commit": commits["base"]},
-           "head": {"rev": args.head, "commit": commits["head"]},
+           "base": {"rev": args.base, "commit": commits["base"],
+                    "src_lines": lines["base"]},
+           "head": {"rev": args.head, "commit": commits["head"],
+                    "src_lines": lines["head"]},
            "better": better, "runs": runs,
            "summary": summarize(runs, better)}
     if failed is not None:
