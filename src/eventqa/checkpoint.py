@@ -1,14 +1,12 @@
-"""Binary checkpoint container for named float64 tensors.
+"""Checkpoints of named float64 tensors: a bare payload and its JSON sidecar.
 
-Layout, per entry, back to back until end of file (all integers are 64-bit
-little-endian unsigned):
-
-    name_length | name (UTF-8) | rank | extent_0 .. extent_{rank-1} | values
-
-Values are row-major float64. A JSON sidecar next to the container records
-hyperparameters (schedule, optimizer), configs, and flags such as which
-tensors are frozen. Writes are atomic: temp file then rename. Reading a
-missing, truncated or malformed file raises DataError naming the path.
+``<stem>.bin`` is the tensors' values back to back, row-major little-endian
+float64 in sorted-name order. The sidecar ``<stem>.json`` is its one header:
+besides hyperparameters, configs and flags such as the frozen tensors, it
+holds ``tensors`` (name -> shape, the payload's index) and ``crc32`` (the
+payload's ``zlib.crc32``). Writes are atomic: temp file then rename. A
+missing, truncated or malformed file, or a pair that does not match, raises
+DataError naming the file(s).
 """
 
 from __future__ import annotations
@@ -16,15 +14,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-
-_U64 = struct.Struct("<Q")
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
@@ -41,69 +37,6 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
 
 def atomic_write_text(path: Path, text: str) -> None:
     _atomic_write_bytes(Path(path), text.encode("utf-8"))
-
-
-def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    path = Path(path)
-    parts: list[bytes] = []
-    for name, arr in tensors.items():
-        arr = np.asarray(arr, dtype=np.float64)
-        encoded = name.encode("utf-8")
-        parts.append(_U64.pack(len(encoded)))
-        parts.append(encoded)
-        parts.append(_U64.pack(arr.ndim))
-        for extent in arr.shape:
-            parts.append(_U64.pack(extent))
-        # ascontiguousarray would promote 0-d to 1-d, so serialize via tobytes
-        parts.append(arr.tobytes(order="C"))
-    _atomic_write_bytes(path, b"".join(parts))
-
-
-def load_tensors(path: str | Path) -> Entries:
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as e:
-        raise DataError(f"cannot read checkpoint {path}: {e}") from None
-    out: dict[str, np.ndarray] = {}
-    pos = 0
-    end = len(raw)
-
-    def take(n: int, what: str) -> int:
-        """Advance past ``n`` bytes; returns where they start."""
-        nonlocal pos
-        if n > end - pos:
-            raise DataError(f"truncated checkpoint {path}: {what} at byte "
-                            f"{pos} needs {n} bytes, {end - pos} left")
-        pos += n
-        return pos - n
-
-    def read_u64(what: str) -> int:
-        return _U64.unpack_from(raw, take(8, what))[0]
-
-    while pos < end:
-        name_len = read_u64("name length")
-        start = take(name_len, "name")
-        try:
-            name = raw[start:pos].decode("utf-8")
-        except UnicodeDecodeError:
-            raise DataError(f"tensor name at byte {start} of {path} is not "
-                            f"UTF-8") from None
-        if name in out:
-            raise DataError(f"duplicate tensor {name!r} in {path}")
-        rank = read_u64(f"rank of {name!r}")
-        shape = struct.unpack_from(f"<{rank}Q", raw,
-                                   take(8 * rank, f"shape of {name!r}"))
-        count = math.prod(shape)
-        start = take(8 * count, f"data of {name!r}")
-        try:
-            arr = np.frombuffer(raw, dtype="<f8", count=count,
-                                offset=start).reshape(shape)
-        except ValueError as e:
-            raise DataError(f"tensor {name!r} in {path} has unusable shape "
-                            f"{shape}: {e}") from None
-        out[name] = arr.astype(np.float64)
-    return Entries(path, out)
 
 
 def save_sidecar(path: str | Path, payload: dict) -> None:
@@ -147,15 +80,51 @@ def load_sidecar(path: str | Path) -> Entries:
 
 def save_checkpoint(base_path: str | Path, tensors: dict[str, np.ndarray],
                     sidecar: dict) -> tuple[Path, Path]:
-    """Write <base>.bin plus <base>.json; returns both paths."""
+    """Write <base>.bin plus <base>.json; returns both paths. The sidecar
+    gets the payload's index (``tensors``) and checksum (``crc32``)."""
     base = Path(base_path)
     bin_path = base.with_suffix(".bin")
     json_path = base.with_suffix(".json")
-    save_tensors(bin_path, tensors)
-    save_sidecar(json_path, sidecar)
+    arrays = {name: np.asarray(tensors[name], dtype="<f8")
+              for name in sorted(tensors)}
+    payload = b"".join(a.tobytes() for a in arrays.values())
+    _atomic_write_bytes(bin_path, payload)
+    save_sidecar(json_path, {
+        **sidecar, "tensors": {n: list(a.shape) for n, a in arrays.items()},
+        "crc32": zlib.crc32(payload)})
     return bin_path, json_path
 
 
-def load_checkpoint(base_path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+def load_checkpoint(base_path: str | Path) -> tuple[Entries, Entries]:
+    """The tensors and the sidecar of <base>. The tensors are writable views
+    into the one array read from <base>.bin, so adopting them copies
+    nothing."""
     base = Path(base_path)
-    return load_tensors(base.with_suffix(".bin")), load_sidecar(base.with_suffix(".json"))
+    bin_path = base.with_suffix(".bin")
+    try:
+        raw = np.fromfile(bin_path, dtype=np.uint8)
+    except OSError as e:
+        raise DataError(f"cannot read checkpoint {bin_path}: {e}") from None
+    sidecar = load_sidecar(base.with_suffix(".json"))
+    index, crc = sidecar["tensors"], sidecar["crc32"]
+    if not isinstance(index, dict) or not all(
+            isinstance(shape, list)
+            and all(type(e) is int and e >= 0 for e in shape)
+            for shape in index.values()):
+        raise DataError(f"'tensors' in {sidecar.path} must map each name to "
+                        f"a list of non-negative extents")
+    sizes = {name: math.prod(index[name]) for name in sorted(index)}
+    if raw.size != 8 * sum(sizes.values()) or zlib.crc32(raw) != crc:
+        raise DataError(
+            f"{bin_path} does not match its sidecar {sidecar.path}: "
+            f"{raw.size} bytes with crc32 {zlib.crc32(raw)}, the sidecar "
+            f"indexes {8 * sum(sizes.values())} bytes with crc32 {crc!r}")
+    values, tensors, start = raw.view("<f8"), {}, 0
+    for name, size in sizes.items():
+        try:
+            tensors[name] = values[start:start + size].reshape(index[name])
+        except ValueError as e:
+            raise DataError(f"tensor {name!r} in {sidecar.path} has unusable "
+                            f"shape {index[name]}: {e}") from None
+        start += size
+    return Entries(bin_path, tensors), sidecar

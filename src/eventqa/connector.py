@@ -46,9 +46,9 @@ class ConnectorConfig(JsonConfig):
             raise ConfigError(
                 f"no block carries cross-attention with {self.layers} layers "
                 f"and period {self.cross_attention_period}")
-        if self.d_model % self.heads != 0:
-            raise ConfigError(
-                f"d_model {self.d_model} not divisible by heads {self.heads}")
+        if self.heads < 1 or self.d_model % self.heads != 0:
+            raise ConfigError(f"heads must be >= 1 and divide d_model "
+                              f"{self.d_model}, got {self.heads}")
 
     def _has_cross(self, index: int) -> bool:
         p = self.cross_attention_period

@@ -29,9 +29,9 @@ class EncoderConfig(JsonConfig):
     max_positions: int = 64
 
     def __post_init__(self):
-        if self.d_model % self.heads != 0:
-            raise ConfigError(
-                f"d_model {self.d_model} not divisible by heads {self.heads}")
+        if self.heads < 1 or self.d_model % self.heads != 0:
+            raise ConfigError(f"heads must be >= 1 and divide d_model "
+                              f"{self.d_model}, got {self.heads}")
         if self.layers < 1 or self.max_positions < 1:
             raise ConfigError("layers and max_positions must be >= 1")
 

@@ -120,9 +120,9 @@ class ToyLmConfig(JsonConfig):
     max_output_len: int = 24
 
     def __post_init__(self):
-        if self.d_model % self.heads != 0:
-            raise ConfigError(
-                f"d_model {self.d_model} not divisible by heads {self.heads}")
+        if self.heads < 1 or self.d_model % self.heads != 0:
+            raise ConfigError(f"heads must be >= 1 and divide d_model "
+                              f"{self.d_model}, got {self.heads}")
 
 
 @dataclass

@@ -97,6 +97,8 @@ class ExperimentConfig(JsonConfig):
     eval_batch_size: int = 64
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.eval_batch_size < 1:
             raise ConfigError(
                 f"eval_batch_size must be >= 1, got {self.eval_batch_size}")
@@ -583,14 +585,18 @@ def _hash_named(module: nn.Module, names: list[str]) -> str:
 def _parseable_rate(model: PipelineModel, val: Dataset, tasks: list[QATask],
                     codec: DatasetCodec, config: ExperimentConfig) -> dict:
     pairs, _, texts, _ = run_inference(model, val, tasks, codec, config)
-    task_map = {t.task_id: t for t in tasks}
-    n_ok = 0
-    for pair, text in zip(pairs, texts):
-        task = task_map[pair.task_id]
-        parsed = parse_answer(text, task, vocabulary=_task_vocab(task, codec))
-        if not isinstance(parsed, Unparseable):
-            n_ok += 1
+    n_ok = sum(not isinstance(parsed, Unparseable)
+               for parsed in _parse_answers(pairs, texts, tasks, codec))
     return {"rate": n_ok / len(pairs) if pairs else 0.0, "n": len(pairs)}
+
+
+def _parse_answers(pairs: list[QAPair], texts: list[str], tasks: list[QATask],
+                   codec: DatasetCodec) -> list:
+    """``parse_answer`` of each pair's text, with each task's vocabulary
+    built once."""
+    vocabs = {t.task_id: (t, _task_vocab(t, codec)) for t in tasks}
+    return [parse_answer(text, *vocabs[pair.task_id])
+            for pair, text in zip(pairs, texts)]
 
 
 def _task_vocab(task: QATask, codec: DatasetCodec) -> list | None:
@@ -695,12 +701,15 @@ def evaluate_stage(out_dir: str | Path, dataset: Dataset,
                                             config)
     report = EvalReport(seed=config.seed, checkpoint_id=config.config_hash(),
                         zero_shot=zero_shot)
+    parsed_all = _parse_answers(pairs, texts, tasks, codec)
+    rows = {task.task_id: [] for task in tasks}
+    for i, pair in enumerate(pairs):
+        rows[pair.task_id].append(i)
     for task in tasks:
-        idx = [i for i, p in enumerate(pairs) if p.task_id == task.task_id]
+        idx = rows[task.task_id]
         if not idx:
             continue
-        vocab = _task_vocab(task, codec)
-        parsed = [parse_answer(texts[i], task, vocabulary=vocab) for i in idx]
+        parsed = [parsed_all[i] for i in idx]
         truths = [pairs[i].truth for i in idx]
         task_scores = [scores[i] for i in idx] \
             if task.truth_type == T_BINARY else None

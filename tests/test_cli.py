@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from eventqa import pipeline
-from eventqa.checkpoint import load_tensors, save_tensors
+from eventqa.checkpoint import load_checkpoint, save_checkpoint
 from eventqa.cli import main as cli_main
 from eventqa.codec import DatasetCodec
 from eventqa.data import Dataset, GeneratorConfig
@@ -125,6 +125,9 @@ def test_full_cli_workflow(config_path, tmp_path, capsys):
     ("pretrain-encoder", "lora.dropout=0.1", ["'lora'", "dropout"]),
     ("pretrain-encoder", "warmup.epochs=0", ["'warmup'", "epochs"]),
     ("pretrain-encoder", "eval_batch_size=0", ["eval_batch_size"]),
+    ("pretrain-encoder", "lm.heads=0", ["'lm'", "heads"]),
+    ("pretrain-encoder", "encoder.heads=0", ["'encoder'", "heads"]),
+    ("pretrain-encoder", "connector.heads=0", ["'connector'", "heads"]),
 ])
 def test_bad_nested_config_value_exits_2(config_path, tmp_path, capsys,
                                          command, override, named):
@@ -148,13 +151,14 @@ def corrupt_truncate(raw: bytes) -> bytes:
     return raw[:len(raw) // 2]
 
 
-def corrupt_flip_name_length(raw: bytes) -> bytes:
-    return bytes([raw[0] ^ 0x40]) + raw[1:]
+def corrupt_flip_first_ulp(raw: bytes) -> bytes:
+    """The first value moves by one unit in the last place."""
+    return bytes([raw[0] ^ 1]) + raw[1:]
 
 
-def corrupt_flip_name_byte(raw: bytes) -> bytes:
-    """The first tensor name still decodes, but names no model tensor."""
-    return raw[:8] + bytes([raw[8] ^ 1]) + raw[9:]
+def corrupt_flip_last_sign(raw: bytes) -> bytes:
+    """The last value changes sign."""
+    return raw[:-1] + bytes([raw[-1] ^ 0x80])
 
 
 # the checkpoint loads before the sequence file is opened
@@ -184,8 +188,8 @@ def test_missing_sidecar_key_exits_3(trained_run, config_path, tmp_path,
 
 @CHECKPOINT_READERS
 @pytest.mark.parametrize("corrupt", [corrupt_truncate,
-                                     corrupt_flip_name_length,
-                                     corrupt_flip_name_byte])
+                                     corrupt_flip_first_ulp,
+                                     corrupt_flip_last_sign])
 def test_corrupt_checkpoint_exits_3(trained_run, tmp_path, capsys, argv,
                                     corrupt):
     out = tmp_path / "run"
@@ -195,6 +199,37 @@ def test_corrupt_checkpoint_exits_3(trained_run, tmp_path, capsys, argv,
     assert cli_main(argv + ["--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and "pipeline.bin" in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def other_seed_run(tmp_path_factory):
+    """A run of the trained run's config under seed 2, whose tensors have
+    the same shapes."""
+    out = tmp_path_factory.mktemp("other") / "run"
+    run_all_stages(tiny_experiment(seed=2), out)
+    return out
+
+
+@CHECKPOINT_READERS
+@pytest.mark.parametrize("damage", ["swapped", "no_tensors", "no_crc32"])
+def test_mismatched_sidecar_exits_3(trained_run, other_seed_run, tmp_path,
+                                    capsys, argv, damage):
+    out = tmp_path / "run"
+    shutil.copytree(trained_run, out)
+    path = out / "pipeline.json"
+    if damage == "swapped":
+        other = other_seed_run / "pipeline.json"
+        assert json.loads(other.read_text())["tensors"] == \
+            json.loads(path.read_text())["tensors"]
+        shutil.copy(other, path)
+    else:
+        payload = json.loads(path.read_text())
+        del payload[damage.removeprefix("no_")]
+        path.write_text(json.dumps(payload))
+    assert cli_main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "pipeline.json" in err
     assert "Traceback" not in err
 
 
@@ -234,12 +269,13 @@ def test_damaged_optimizer_moment_on_resume(trained_run, config_path,
     whose moment does not fit its parameter belongs to another model (2)."""
     out = tmp_path / "run"
     shutil.copytree(trained_run, out)
-    tensors = dict(load_tensors(out / "encoder.bin"))
+    tensors, sidecar = load_checkpoint(out / "encoder")
+    tensors = dict(tensors)
     key = next(k for k in tensors if k.startswith("opt.m.embedder."))
     moment = damage(tensors.pop(key))
     if moment is not None:
         tensors[key] = moment
-    save_tensors(out / "encoder.bin", tensors)
+    save_checkpoint(out / "encoder", tensors, sidecar)
     assert cli_main(["pretrain-encoder", "--resume", "--config",
                      str(config_path), "--out", str(out)]) == code
     err = capsys.readouterr().err
@@ -453,3 +489,10 @@ def test_seed_override_changes_data(config_path, tmp_path):
               "--seed", "101", "--out", str(out_b)])
     assert (out_a / "dataset.jsonl").read_bytes() != \
         (out_b / "dataset.jsonl").read_bytes()
+
+
+def test_negative_seed_exits_2(config_path, tmp_path, capsys):
+    assert cli_main(["generate-data", "--config", str(config_path),
+                     "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed must be >= 0" in err

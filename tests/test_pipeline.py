@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from eventqa.codec import DatasetCodec
 from eventqa.connector import ConnectorConfig
 from eventqa.data import Dataset, GeneratorConfig, save_jsonl
 from eventqa.encoder import EncoderConfig
-from eventqa.errors import ConfigError
+from eventqa.errors import ConfigError, DataError
 from eventqa.lm import LoraConfig, ToyLmConfig, length_groups
 from eventqa.pipeline import (ExperimentConfig, PipelineModel, StageSchedule,
                               answer_pairs, ask, build_tokenizer,
@@ -493,15 +494,36 @@ class TestDeterminism:
             assert (out_a / f"{stem}.bin").read_bytes() == \
                 (out_b / f"{stem}.bin").read_bytes(), stem
 
-    def test_different_seeds_differ_but_share_config_hash(self, tmp_path):
-        cfg_a = tiny_experiment(seed=1)
-        cfg_b = tiny_experiment(seed=2)
+    @pytest.fixture(scope="class")
+    def two_seeds(self, tmp_path_factory):
+        """Runs of one config under seeds 1 and 3, whose codecs (and so
+        whose tensor shapes) agree."""
+        outs = []
+        for seed in (1, 3):
+            cfg = tiny_experiment(seed=seed)
+            outs.append((cfg, tmp_path_factory.mktemp(f"seed{seed}")))
+            run_all_stages(*outs[-1])
+        return outs
+
+    def test_different_seeds_differ_but_share_config_hash(self, two_seeds):
+        (cfg_a, out_a), (cfg_b, out_b) = two_seeds
         assert cfg_a.config_hash() == cfg_b.config_hash()
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_all_stages(cfg_a, out_a)
-        run_all_stages(cfg_b, out_b)
         assert (out_a / "pipeline.bin").read_bytes() != \
             (out_b / "pipeline.bin").read_bytes()
+
+    def test_swapped_sidecar_is_data_error(self, two_seeds, tmp_path):
+        """Each stage's payload has the other seed's shapes, so only the
+        checksum tells a swapped sidecar from the right one."""
+        (_, out_a), (_, out_b) = two_seeds
+        for stem in ("encoder", "lm_base", "pipeline"):
+            shapes = [{n: t.shape for n, t in load_checkpoint(o / stem)[0]
+                       .items()} for o in (out_a, out_b)]
+            assert shapes[0] == shapes[1], stem
+            shutil.copy(out_a / f"{stem}.bin", tmp_path / f"{stem}.bin")
+            shutil.copy(out_b / f"{stem}.json", tmp_path / f"{stem}.json")
+            with pytest.raises(DataError, match=f"{stem}.bin does not match "
+                                                f"its sidecar"):
+                load_checkpoint(tmp_path / stem)
 
 
 class TestPretrainBehavior:
@@ -512,8 +534,7 @@ class TestPretrainBehavior:
         _, train, _ = load_splits(cfg)
         codec = fit_codec_stage(cfg, train)
         info = pretrain_encoder_stage(cfg, train, codec, tmp_path)
-        from eventqa.checkpoint import load_tensors
-        tensors = load_tensors(tmp_path / "encoder.bin")
+        tensors, _ = load_checkpoint(tmp_path / "encoder")
 
         out2 = tmp_path / "again"
         out2.mkdir()
@@ -521,7 +542,7 @@ class TestPretrainBehavior:
             pretrain=StageSchedule(epochs=1, batch_size=8, peak_lr=0.0,
                                    min_lr=0.0, warmup_steps=0))
         pretrain_encoder_stage(cfg0, train, codec, out2)
-        tensors0 = load_tensors(out2 / "encoder.bin")
+        tensors0, _ = load_checkpoint(out2 / "encoder")
         for name in tensors:
             if name.startswith("opt."):
                 continue
