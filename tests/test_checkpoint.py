@@ -103,20 +103,6 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert leftovers == []
 
 
-def test_swapped_sidecars_rejected(tmp_path):
-    """Two checkpoints with the same index but other values: each payload
-    with the other's sidecar is a mismatched pair naming both files."""
-    for stem, value in (("a", 1.0), ("b", 2.0)):
-        save_checkpoint(tmp_path / stem, {"w": np.full(3, value)}, {})
-    a, b = (tmp_path / "a.json").read_bytes(), (tmp_path / "b.json").read_bytes()
-    (tmp_path / "a.json").write_bytes(b)
-    (tmp_path / "b.json").write_bytes(a)
-    for stem in ("a", "b"):
-        with pytest.raises(DataError, match=f"{stem}.bin does not match its "
-                                            f"sidecar .*{stem}.json"):
-            load_checkpoint(tmp_path / stem)
-
-
 def load_raw(tmp_path, payload: bytes, sidecar: bytes):
     (tmp_path / "raw.bin").write_bytes(payload)
     (tmp_path / "raw.json").write_bytes(sidecar)
