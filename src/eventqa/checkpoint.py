@@ -40,7 +40,9 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def save_sidecar(path: str | Path, payload: dict) -> None:
-    atomic_write_text(Path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as one line of compact JSON with sorted keys."""
+    atomic_write_text(Path(path), json.dumps(
+        payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 class Entries(dict):
@@ -55,13 +57,22 @@ class Entries(dict):
         raise DataError(f"checkpoint file {self.path} has no {key!r} entry")
 
 
-def read_json(path: str | Path, what: str, from_json=None):
-    """The JSON object in ``path``, passed through ``from_json`` when given.
-    An unreadable file, bad JSON, a non-object, or a missing or mistyped
-    entry raises DataError naming ``what`` and the path."""
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The bytes of ``path``; an unreadable file is a DataError naming it."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as e:
+        return Path(path).read_bytes()
+    except OSError as e:
+        raise DataError(f"cannot read {what} {path}: {e}") from None
+
+
+def read_json(path: str | Path, what: str, from_json=None, data=None):
+    """The JSON object in ``path`` (or in ``data``, its bytes when already
+    read), passed through ``from_json`` when given. An unreadable file, bad
+    JSON, a non-object, or a missing or mistyped entry raises DataError
+    naming ``what`` and the path."""
+    try:
+        payload = json.loads(read_bytes(path, what) if data is None else data)
+    except ValueError as e:
         raise DataError(f"cannot read {what} {path}: {e}") from None
     if not isinstance(payload, dict):
         raise DataError(f"{what} {path} is not a JSON object")
@@ -74,8 +85,8 @@ def read_json(path: str | Path, what: str, from_json=None):
                         f"{type(e).__name__} {e}") from None
 
 
-def load_sidecar(path: str | Path) -> Entries:
-    return Entries(Path(path), read_json(path, "checkpoint sidecar"))
+def load_sidecar(path: str | Path, data: bytes | None = None) -> Entries:
+    return Entries(Path(path), read_json(path, "checkpoint sidecar", data=data))
 
 
 def save_checkpoint(base_path: str | Path, tensors: dict[str, np.ndarray],
@@ -95,17 +106,25 @@ def save_checkpoint(base_path: str | Path, tensors: dict[str, np.ndarray],
     return bin_path, json_path
 
 
-def load_checkpoint(base_path: str | Path) -> tuple[Entries, Entries]:
-    """The tensors and the sidecar of <base>. The tensors are writable views
-    into the one array read from <base>.bin, so adopting them copies
-    nothing."""
-    base = Path(base_path)
-    bin_path = base.with_suffix(".bin")
+def read_checkpoint(base_path: str | Path) -> tuple[np.ndarray, bytes]:
+    """The unchecked bytes of <base>.bin, as a writable uint8 array, and of
+    <base>.json."""
+    bin_path = Path(base_path).with_suffix(".bin")
     try:
         raw = np.fromfile(bin_path, dtype=np.uint8)
     except OSError as e:
         raise DataError(f"cannot read checkpoint {bin_path}: {e}") from None
-    sidecar = load_sidecar(base.with_suffix(".json"))
+    return raw, read_bytes(bin_path.with_suffix(".json"), "checkpoint sidecar")
+
+
+def load_checkpoint(base_path: str | Path, files=None
+                    ) -> tuple[Entries, Entries]:
+    """The tensors and the sidecar of <base>, parsed from ``files`` (what
+    ``read_checkpoint`` returned) when given. The tensors are writable views
+    into the one payload array, so adopting them copies nothing."""
+    bin_path = Path(base_path).with_suffix(".bin")
+    raw, data = files or read_checkpoint(base_path)
+    sidecar = load_sidecar(bin_path.with_suffix(".json"), data)
     index, crc = sidecar["tensors"], sidecar["crc32"]
     if not isinstance(index, dict) or not all(
             isinstance(shape, list)

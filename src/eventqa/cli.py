@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .checkpoint import atomic_write_text, load_sidecar
@@ -28,10 +29,16 @@ EXIT_DIVERGED = 4
 
 
 def _apply_overrides(payload: dict, overrides: list[str]) -> dict:
+    """Set each dotted ``key=value``; unlike a config file's unknown keys,
+    an override whose first part is not a config field is a config error."""
+    known = {f.name for f in fields(ExperimentConfig)}
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
+        if key.split(".")[0] not in known:
+            raise ConfigError(f"--set {key!r}: unknown config key "
+                              f"{key.split('.')[0]!r}; known: {sorted(known)}")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:

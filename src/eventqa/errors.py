@@ -21,12 +21,12 @@ class DataError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient norm; ``what`` says
+    which."""
 
-    def __init__(self, step: int, loss: float):
-        super().__init__(f"Diverged at step {step}: loss={loss}")
+    def __init__(self, step: int, what: str):
+        super().__init__(f"Diverged at step {step}: {what}")
         self.step = step
-        self.loss = loss
 
 
 def _fits(value, kind) -> bool:

@@ -86,18 +86,29 @@ class AdamW:
             p.zero_grad()
 
     def clip_grad_norm(self, max_norm: float) -> float:
-        """Scale all gradients so their global L2 norm is at most max_norm."""
+        """Scale all gradients so their global L2 norm is at most max_norm
+        (0 turns scaling off); returns the norm before scaling. A non-finite
+        norm leaves the gradients as they are."""
         total = 0.0
         for p in self.params.values():
             if p.grad is not None:
                 total += float((p.grad * p.grad).sum())
         norm = math.sqrt(total)
-        if max_norm > 0 and norm > max_norm:
+        if 0 < max_norm < norm < math.inf:
             scale = max_norm / norm
             for p in self.params.values():
                 if p.grad is not None:
                     p.grad *= scale
         return norm
+
+    def first_non_finite_grad(self) -> str | None:
+        """The first parameter name, in sorted order, whose gradient's sum
+        of squares is not finite (None if only their total overflows)."""
+        for name in sorted(self.params):
+            g = self.params[name].grad
+            if g is not None and not math.isfinite(float((g * g).sum())):
+                return name
+        return None
 
     def step(self, lr: float) -> None:
         s, c = self.state, self.config

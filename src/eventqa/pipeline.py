@@ -34,7 +34,8 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .checkpoint import (Entries, atomic_write_text, load_checkpoint,
-                         read_json, save_checkpoint)
+                         read_bytes, read_checkpoint, read_json,
+                         save_checkpoint)
 from .codec import DEFAULT_INTEGER_VOCAB_CAP, DatasetCodec, EventEmbedder
 from .connector import Connector, ConnectorConfig
 from .data import (Dataset, EventSequence, GeneratorConfig, Schema,
@@ -288,7 +289,8 @@ def run_training(loss_fn, optimizer: AdamW, config: ExperimentConfig,
     ``<key>-order``; step ``s`` feeds ``loss_fn`` with ``make_batch`` of the
     ``s % n_batches``-th slice of ``batch_size`` items. Training starts at
     ``optimizer.state.t``, so a restored optimizer resumes where it stopped.
-    Raises DivergenceError on a non-finite loss, reporting the step.
+    Raises DivergenceError on a non-finite loss, or on a non-finite
+    gradient norm before the step is taken, reporting the step.
     """
     stage = getattr(config, key)
     total_steps = stage.epochs * n_batches
@@ -305,10 +307,13 @@ def run_training(loss_fn, optimizer: AdamW, config: ExperimentConfig,
         loss = loss_fn(batch)
         value = loss.item()
         if not math.isfinite(value):
-            raise DivergenceError(step, value)
+            raise DivergenceError(step, f"loss={value}")
         ad.backward(loss)
-        if config.optimizer.clip_norm:
-            optimizer.clip_grad_norm(config.optimizer.clip_norm)
+        norm = optimizer.clip_grad_norm(config.optimizer.clip_norm)
+        if not math.isfinite(norm):
+            raise DivergenceError(
+                step, f"gradient norm {norm} at loss={value}; first "
+                f"non-finite gradient: {optimizer.first_non_finite_grad()}")
         lr = schedule.lr_at(step)
         optimizer.step(lr)
         curve.append((step, lr, value))
@@ -653,18 +658,38 @@ def answer_pairs(model: PipelineModel, pairs: list[QAPair],
     return texts, scores.tolist()
 
 
-def load_pipeline(out_dir: str | Path) -> tuple[PipelineModel, ExperimentConfig,
-                                                DatasetCodec, dict]:
+_reused: dict = {}   # the pipeline the last ``reuse`` load built, and its key
+
+
+def load_pipeline(out_dir: str | Path, reuse: bool = False
+                  ) -> tuple[PipelineModel, ExperimentConfig, DatasetCodec,
+                             dict]:
     """The trained pipeline in ``out_dir`` for inference: built without a
-    generator (no draws), parameters from pipeline.bin."""
+    generator (no draws), parameters from pipeline.bin. With ``reuse``, the
+    last ``reuse`` load's pipeline (shared: do not modify it) is returned
+    while the directory and the bytes of pipeline.bin, pipeline.json and
+    codec.json are the ones it was built and verified from; otherwise it is
+    built, with every check, from the bytes just read."""
     out = Path(out_dir)
-    tensors, sidecar = load_checkpoint(out / "pipeline")
+    files = read_checkpoint(out / "pipeline")
+    codec_bytes = read_bytes(out / "codec.json", "codec")
+    key = (out.resolve(), files[1], codec_bytes)
+    if reuse:
+        if _reused.get("key") == key and np.array_equal(_reused["payload"],
+                                                         files[0]):
+            return _reused["pipeline"]
+        _reused.clear()
+    tensors, sidecar = load_checkpoint(out / "pipeline", files)
     config = ExperimentConfig.from_json(sidecar["config"])
-    codec = DatasetCodec.load(out / "codec.json")
+    codec = read_json(out / "codec.json", "codec", DatasetCodec.from_json,
+                      codec_bytes)
     tokenizer = Tokenizer.from_json(sidecar["tokenizer"])
     model = PipelineModel(codec, tokenizer, config, None)
     apply_lora(model.lm, config.lora, None)
     load_params(model.parameters(), tensors)
+    if reuse:
+        _reused.update(key=key, payload=files[0],
+                       pipeline=(model, config, codec, sidecar))
     return model, config, codec, sidecar
 
 
@@ -678,7 +703,7 @@ def evaluate_stage(out_dir: str | Path, dataset: Dataset,
     held-out set; asking for a trained task is a protocol violation and is
     rejected.
     """
-    model, config, codec, sidecar = load_pipeline(out_dir)
+    model, config, codec, sidecar = load_pipeline(out_dir, reuse=True)
     manifest = sidecar["manifest"]
     if task_ids is None:
         task_ids = (manifest["held_out_tasks"] if zero_shot
@@ -773,8 +798,11 @@ def ask(out_dir: str | Path, sequence_path: str | Path,
     The question may leave out the task instruction. The canonical body is
     rendered again from the matched template and answered by
     ``answer_pairs`` as a batch of one, exactly as evaluation answers it.
+    Repeated calls in one process reuse the loaded pipeline while its three
+    files are byte-identical (``load_pipeline``'s ``reuse``); any changed
+    byte reloads and verifies it.
     """
-    model, config, codec, _ = load_pipeline(out_dir)
+    model, config, codec, _ = load_pipeline(out_dir, reuse=True)
     task, slots = match_question(question, config.built_tasks())
 
     dataset = load_jsonl(sequence_path, codec.schema)

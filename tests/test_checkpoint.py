@@ -76,6 +76,17 @@ def test_payload_is_little_endian_f8_in_name_order(tmp_path):
                        "crc32": zlib.crc32(raw)}
 
 
+def test_sidecar_is_one_line_of_compact_json(tmp_path):
+    sidecar = {"config": {"lm": {"d_model": 8}}, "frozen": ["a", "b"]}
+    _, json_path = save_checkpoint(
+        tmp_path / "one", {"w": np.zeros((2, 3)), "v": np.zeros(1)}, sidecar)
+    text = json_path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert ": " not in text and ", " not in text
+    assert json.loads(text) == {**sidecar, "tensors": {"v": [1], "w": [2, 3]},
+                                "crc32": zlib.crc32(bytes(56))}
+
+
 def test_truncated_file_reported(tmp_path):
     bin_path, _ = save_checkpoint(tmp_path / "model", {"w": np.ones((2, 2))},
                                   {})

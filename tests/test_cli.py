@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -10,8 +11,9 @@ from eventqa import pipeline
 from eventqa.checkpoint import load_checkpoint, save_checkpoint
 from eventqa.cli import main as cli_main
 from eventqa.codec import DatasetCodec
-from eventqa.data import Dataset, GeneratorConfig
-from eventqa.pipeline import StageSchedule, evaluate_stage, load_splits
+from eventqa.data import Dataset, GeneratorConfig, save_jsonl
+from eventqa.pipeline import (StageSchedule, ask, evaluate_stage,
+                              load_pipeline, load_splits, run_inference)
 from tests.test_pipeline import run_all_stages, tiny_experiment
 
 
@@ -408,6 +410,114 @@ def test_eval_loads_the_checkpoint_once(tmp_path, monkeypatch):
     assert len(loads) == 1
 
 
+# ---------------------------------------------------------------------------
+# ask and eval reuse the loaded pipeline while its files are byte-identical
+
+
+def ask_questions(tmp_path, n_clients=3):
+    """(sequence file, client id, task id, question) for the first val
+    clients of the tiny config and each of its tasks."""
+    cfg = tiny_experiment()
+    _, _, val = load_splits(cfg)
+    questions = []
+    for seq in val.sequences[:n_clients]:
+        path = tmp_path / f"{seq.client_id}.jsonl"
+        save_jsonl(Dataset(val.schema, [seq]), path)
+        for task in cfg.built_tasks():
+            questions.append((path, seq.client_id, task.task_id,
+                              task.template.format(feature=task.feature)))
+    return questions
+
+
+def count_builds(monkeypatch) -> list:
+    """The checkpoint each pipeline build parses, appended as it happens."""
+    builds = []
+    original = pipeline.load_checkpoint
+
+    def counting(base, *args):
+        builds.append(Path(base))
+        return original(base, *args)
+
+    monkeypatch.setattr(pipeline, "load_checkpoint", counting)
+    return builds
+
+
+def test_second_ask_builds_no_pipeline(trained_run, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    shutil.copytree(trained_run, out)
+    path, _, _, question = ask_questions(tmp_path)[0]
+    first = ask(out, path, question)
+    builds = count_builds(monkeypatch)
+    assert ask(out, path, question) == first
+    evaluate_stage(out, load_splits(tiny_experiment())[2])
+    assert builds == []
+    load_pipeline(out)   # a fresh model for callers that modify it
+    assert builds == [out / "pipeline"]
+
+
+def test_ask_answers_from_a_checkpoint_replaced_after_it(
+        trained_run, other_seed_run, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(trained_run, out)
+    questions = ask_questions(tmp_path)
+    before = [ask(out, path, q)["generation"] for path, _, _, q in questions]
+    for name in ("pipeline.bin", "pipeline.json", "codec.json"):
+        shutil.copyfile(other_seed_run / name, out / name)
+    after = [ask(out, path, q)["generation"] for path, _, _, q in questions]
+
+    model, config, codec, _ = load_pipeline(out)
+    _, _, val = load_splits(tiny_experiment())
+    clients = Dataset(val.schema, val.sequences[:3])
+    pairs, _, texts, _ = run_inference(model, clients, config.built_tasks(),
+                                       codec, config)
+    batched = {(p.client_id, p.task_id): text for p, text in zip(pairs, texts)}
+    assert after == [batched[(c, t)] for _, c, t, _ in questions]
+    assert after != before   # the two checkpoints answer differently
+
+
+def flip_one_bit_in_place(path: Path) -> None:
+    """Flip the lowest bit of the last byte, keeping the size and mtime."""
+    stat = path.stat()
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 1
+    path.write_bytes(bytes(raw))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+
+
+@pytest.mark.parametrize("damage", ["bit_flip", "deleted"])
+def test_damaged_payload_after_ask_exits_3(trained_run, tmp_path, capsys,
+                                           damage):
+    out = tmp_path / "run"
+    shutil.copytree(trained_run, out)
+    path, _, _, question = ask_questions(tmp_path)[0]
+    ask(out, path, question)
+    if damage == "bit_flip":
+        flip_one_bit_in_place(out / "pipeline.bin")
+    else:
+        (out / "pipeline.bin").unlink()
+    assert cli_main(["ask", "--out", str(out), "--sequence", str(path),
+                     "--question", question]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "pipeline.bin" in err
+    assert "Traceback" not in err
+
+
+def test_byte_identical_run_directories_share_no_entry(trained_run, tmp_path,
+                                                       monkeypatch):
+    a, b = tmp_path / "a", tmp_path / "b"
+    shutil.copytree(trained_run, a)
+    shutil.copytree(trained_run, b)
+    path, _, _, question = ask_questions(tmp_path)[0]
+    ask(a, path, question)
+    builds = count_builds(monkeypatch)
+    assert cli_main(["eval", "--out", str(b)]) == 0
+    assert builds == [b / "pipeline"]
+    ask(b, path, question)
+    assert builds == [b / "pipeline"]   # eval and ask share the entry
+    ask(a, path, question)
+    assert builds == [b / "pipeline", a / "pipeline"]   # it holds one run
+
+
 def test_baseline_command(config_path, capsys):
     rc = cli_main(["baseline", "--config", str(config_path)])
     assert rc == 0
@@ -479,6 +589,15 @@ def test_divergence_exits_4_with_step_number(config_path, tmp_path, capsys):
     assert rc == 4
     err = capsys.readouterr().err
     assert "Diverged at step" in err
+
+
+def test_unknown_top_level_set_key_exits_2(config_path, tmp_path, capsys):
+    out = tmp_path / "data"
+    assert cli_main(["generate-data", "--config", str(config_path),
+                     "--set", "trian.epochs=8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'trian'" in err
+    assert not out.exists()
 
 
 def test_seed_override_changes_data(config_path, tmp_path):

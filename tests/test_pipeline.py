@@ -19,15 +19,16 @@ from eventqa.codec import DatasetCodec
 from eventqa.connector import ConnectorConfig
 from eventqa.data import Dataset, GeneratorConfig, save_jsonl
 from eventqa.encoder import EncoderConfig
-from eventqa.errors import ConfigError, DataError
+from eventqa.errors import ConfigError, DataError, DivergenceError
 from eventqa.lm import LoraConfig, ToyLmConfig, length_groups
+from eventqa.optim import AdamW, OptimizerConfig
 from eventqa.pipeline import (ExperimentConfig, PipelineModel, StageSchedule,
                               answer_pairs, ask, build_tokenizer,
                               evaluate_stage, fit_codec_stage, generate_data,
                               load_pipeline, load_splits, make_qa_batch,
                               match_question, pretrain_encoder_stage,
-                              run_inference, train_stage, warmup_corpus,
-                              warmup_lm_stage)
+                              run_inference, run_training, train_stage,
+                              warmup_corpus, warmup_lm_stage)
 from eventqa.qa import admit_sequence, build_corpus, build_tasks, derived_seed
 from tests.test_codec import assert_batches_equal, per_value_batch
 
@@ -598,6 +599,35 @@ class TestPretrainBehavior:
                                       max_events=16))
         with pytest.raises(ConfigError, match="different encoder"):
             pretrain_encoder_stage(other, train, codec, tmp_path, resume=True)
+
+
+@pytest.mark.parametrize("clip_norm", [1.0, 0.0])
+def test_infinite_gradient_on_the_last_step_diverges(clip_norm):
+    """A finite loss whose gradient overflows: the only step raises, names
+    the first parameter (in name order) with a non-finite gradient, and
+    leaves every parameter as it was."""
+    params = {name: Tensor(np.ones(3), requires_grad=True)
+              for name in ("z_inf", "m_inf", "a_finite")}
+
+    def loss_fn(_):
+        def chain(p):   # forward ((p * 1e-300) * 1e300) * 1e300 = 1e300 p
+            for factor in (1e-300, 1e300, 1e300):
+                p = ad.mul(p, Tensor(np.full(3, factor)))
+            return ad.tsum(p)
+        return ad.add(ad.add(chain(params["z_inf"]), chain(params["m_inf"])),
+                      ad.tsum(params["a_finite"]))
+
+    config = tiny_experiment(
+        optimizer=OptimizerConfig(clip_norm=clip_norm),
+        train=StageSchedule(epochs=1, batch_size=1, warmup_steps=0))
+    optimizer = AdamW(params, config.optimizer)
+    with pytest.raises(DivergenceError, match="step 0: gradient norm inf.* "
+                                              "first non-finite gradient: "
+                                              "m_inf"):
+        run_training(loss_fn, optimizer, config, "train", [0], 1,
+                     lambda chosen: chosen)
+    for p in params.values():
+        np.testing.assert_array_equal(p.data, np.ones(3))
 
 
 class TestConfigValidation:
