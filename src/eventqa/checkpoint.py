@@ -24,15 +24,21 @@ from .errors import DataError
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".tmp")
+    """Write ``payload`` to ``path`` through a temp file in its directory,
+    making the directory first; an OSError is a DataError naming ``path``."""
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -62,7 +68,8 @@ def read_bytes(path: str | Path, what: str) -> bytes:
     try:
         return Path(path).read_bytes()
     except OSError as e:
-        raise DataError(f"cannot read {what} {path}: {e}") from None
+        raise DataError(f"cannot read {what} {path}: "
+                        f"{e.strerror or e}") from None
 
 
 def read_json(path: str | Path, what: str, from_json=None, data=None):
@@ -70,8 +77,10 @@ def read_json(path: str | Path, what: str, from_json=None, data=None):
     read), passed through ``from_json`` when given. An unreadable file, bad
     JSON, a non-object, or a missing or mistyped entry raises DataError
     naming ``what`` and the path."""
+    if data is None:
+        data = read_bytes(path, what)
     try:
-        payload = json.loads(read_bytes(path, what) if data is None else data)
+        payload = json.loads(data)
     except ValueError as e:
         raise DataError(f"cannot read {what} {path}: {e}") from None
     if not isinstance(payload, dict):
@@ -113,7 +122,8 @@ def read_checkpoint(base_path: str | Path) -> tuple[np.ndarray, bytes]:
     try:
         raw = np.fromfile(bin_path, dtype=np.uint8)
     except OSError as e:
-        raise DataError(f"cannot read checkpoint {bin_path}: {e}") from None
+        raise DataError(f"cannot read checkpoint {bin_path}: "
+                        f"{e.strerror or e}") from None
     return raw, read_bytes(bin_path.with_suffix(".json"), "checkpoint sidecar")
 
 

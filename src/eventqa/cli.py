@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .checkpoint import atomic_write_text, load_sidecar
 from .codec import DatasetCodec
+from .data import Dataset
 from .errors import ConfigError, DataError, DivergenceError
 from .metrics import score_baselines
 from .pipeline import (ExperimentConfig, ask, evaluate_stage, fit_codec_stage,
@@ -76,29 +77,30 @@ def cmd_fit_codec(args) -> int:
     config = _load_config(args)
     _, train, _ = load_splits(config, args.data)
     codec = fit_codec_stage(config, train)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    codec.save(out / "codec.json")
+    codec_path = Path(args.out) / "codec.json"
+    codec.save(codec_path)
     print(f"fitted codec for {len(codec.feature_names)} features "
-          f"(event dim {codec.event_dim}) -> {out / 'codec.json'}")
+          f"(event dim {codec.event_dim}) -> {codec_path}")
     return EXIT_OK
 
 
-def _load_or_fit_codec(config: ExperimentConfig, args, train) -> DatasetCodec:
-    out = Path(args.out)
-    codec_path = out / "codec.json"
+def _stage_inputs(args) -> tuple[ExperimentConfig, Dataset, Dataset,
+                                 DatasetCodec]:
+    """The config, the train and val splits, and the codec in ``--out``:
+    loaded when codec.json exists there, else fitted on train and saved."""
+    config = _load_config(args)
+    _, train, val = load_splits(config, args.data)
+    codec_path = Path(args.out) / "codec.json"
     if codec_path.exists():
-        return DatasetCodec.load(codec_path)
-    codec = fit_codec_stage(config, train)
-    out.mkdir(parents=True, exist_ok=True)
-    codec.save(codec_path)
-    return codec
+        codec = DatasetCodec.load(codec_path)
+    else:
+        codec = fit_codec_stage(config, train)
+        codec.save(codec_path)
+    return config, train, val, codec
 
 
 def cmd_pretrain_encoder(args) -> int:
-    config = _load_config(args)
-    _, train, _ = load_splits(config, args.data)
-    codec = _load_or_fit_codec(config, args, train)
+    config, train, _, codec = _stage_inputs(args)
     info = pretrain_encoder_stage(config, train, codec, args.out,
                                   resume=args.resume)
     print(f"pretrained encoder: loss {info['initial_loss']:.4f} -> "
@@ -108,9 +110,7 @@ def cmd_pretrain_encoder(args) -> int:
 
 
 def cmd_warmup_lm(args) -> int:
-    config = _load_config(args)
-    _, train, _ = load_splits(config, args.data)
-    codec = _load_or_fit_codec(config, args, train)
+    config, _, _, codec = _stage_inputs(args)
     info = warmup_lm_stage(config, codec, args.out)
     print(f"warmed up language model (vocab {info['vocab_size']}), final "
           f"loss {info['final_loss']:.4f}; checkpoint {info['checkpoint']}")
@@ -118,9 +118,7 @@ def cmd_warmup_lm(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args)
-    _, train, val = load_splits(config, args.data)
-    codec = _load_or_fit_codec(config, args, train)
+    config, train, val, codec = _stage_inputs(args)
     info = train_stage(config, train, val, codec, args.out)
     print(f"trained pipeline: final loss {info['final_loss']:.4f}, "
           f"validation parseable rate {info['val_parseable_rate']:.3f}; "

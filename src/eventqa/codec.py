@@ -280,7 +280,7 @@ class DatasetCodec:
     """All per-feature codecs for one schema, fitted on the training split."""
 
     def __init__(self, schema: Schema, codecs: dict[str, FeatureCodec],
-                 integer_vocab_cap: int = DEFAULT_INTEGER_VOCAB_CAP):
+                 integer_vocab_cap: int):
         self.schema = schema
         self.codecs = codecs
         self.integer_vocab_cap = integer_vocab_cap
@@ -354,8 +354,7 @@ class DatasetCodec:
         schema = Schema.from_json(d["schema"])
         codecs = {c["spec"]["name"]: FeatureCodec.from_json(c)
                   for c in d["features"]}
-        return cls(schema, codecs, d.get("integer_vocab_cap",
-                                         DEFAULT_INTEGER_VOCAB_CAP))
+        return cls(schema, codecs, d["integer_vocab_cap"])
 
     def save(self, path: str | Path) -> None:
         atomic_write_text(Path(path), json.dumps(self.to_json(), indent=2) + "\n")

@@ -111,23 +111,3 @@ class Connector(nn.Module):
                 f"got {enc_out.shape}")
         batched = self.forward(ad.reshape(enc_out, (1,) + enc_out.shape))
         return ad.reshape(batched, batched.shape[1:])
-
-
-def sensitivity_probe(connector: Connector, enc_out: np.ndarray) -> np.ndarray:
-    """Influence of each event row on the connector output.
-
-    Score i is the Frobenius norm of the output change when row i of the
-    encoder output is zeroed. Test instrumentation, not part of training.
-    """
-    enc_out = np.asarray(enc_out, dtype=np.float64)
-    if enc_out.ndim != 2:
-        raise ConfigError(f"probe expects (events, width), got {enc_out.shape}")
-    with ad.no_grad():
-        base = connector.connect(Tensor(enc_out)).data
-        scores = np.zeros(enc_out.shape[0])
-        for i in range(enc_out.shape[0]):
-            masked = enc_out.copy()
-            masked[i, :] = 0.0
-            out = connector.connect(Tensor(masked)).data
-            scores[i] = np.sqrt(((out - base) ** 2).sum())
-    return scores

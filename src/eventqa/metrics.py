@@ -49,23 +49,21 @@ def _check_numeric(values: list, name: str) -> np.ndarray:
     return arr
 
 
-def mae(preds: list, truths: list) -> float:
+def _numeric_pair(preds: list, truths: list, metric: str) -> tuple:
     if len(preds) != len(truths):
         raise DataError(f"length mismatch: {len(preds)} vs {len(truths)}")
     if not preds:
-        raise DataError("mae over an empty set is undefined")
-    p = _check_numeric(preds, "preds")
-    t = _check_numeric(truths, "truths")
+        raise DataError(f"{metric} over an empty set is undefined")
+    return _check_numeric(preds, "preds"), _check_numeric(truths, "truths")
+
+
+def mae(preds: list, truths: list) -> float:
+    p, t = _numeric_pair(preds, truths, "mae")
     return float(np.abs(t - p).mean())
 
 
 def mse(preds: list, truths: list) -> float:
-    if len(preds) != len(truths):
-        raise DataError(f"length mismatch: {len(preds)} vs {len(truths)}")
-    if not preds:
-        raise DataError("mse over an empty set is undefined")
-    p = _check_numeric(preds, "preds")
-    t = _check_numeric(truths, "truths")
+    p, t = _numeric_pair(preds, truths, "mse")
     return float(((t - p) ** 2).mean())
 
 

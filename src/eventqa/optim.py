@@ -90,9 +90,10 @@ class AdamW:
         (0 turns scaling off); returns the norm before scaling. A non-finite
         norm leaves the gradients as they are."""
         total = 0.0
-        for p in self.params.values():
-            if p.grad is not None:
-                total += float((p.grad * p.grad).sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in self.params.values():
+                if p.grad is not None:
+                    total += float((p.grad * p.grad).sum())
         norm = math.sqrt(total)
         if 0 < max_norm < norm < math.inf:
             scale = max_norm / norm
@@ -104,10 +105,11 @@ class AdamW:
     def first_non_finite_grad(self) -> str | None:
         """The first parameter name, in sorted order, whose gradient's sum
         of squares is not finite (None if only their total overflows)."""
-        for name in sorted(self.params):
-            g = self.params[name].grad
-            if g is not None and not math.isfinite(float((g * g).sum())):
-                return name
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name in sorted(self.params):
+                g = self.params[name].grad
+                if g is not None and not math.isfinite(float((g * g).sum())):
+                    return name
         return None
 
     def step(self, lr: float) -> None:

@@ -362,7 +362,6 @@ def csv_to_curve(text: str) -> list[tuple[int, float, float]]:
 
 def generate_data(config: ExperimentConfig, out_dir: str | Path) -> dict:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dataset, provenance = generate_synthetic(config.generator, config.seed)
     save_jsonl(dataset, out / "dataset.jsonl")
     provenance["config_hash"] = config.config_hash()
@@ -404,7 +403,6 @@ def pretrain_encoder_stage(config: ExperimentConfig, train: Dataset,
                            codec: DatasetCodec, out_dir: str | Path,
                            resume: bool = False) -> dict:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(derived_seed(config.seed, "pretrain"))
     embedder = EventEmbedder(codec, rng)
     encoder = EventEncoder(codec.event_dim, config.encoder, rng)
@@ -478,7 +476,6 @@ def build_tokenizer(config: ExperimentConfig, codec: DatasetCodec) -> Tokenizer:
 def warmup_lm_stage(config: ExperimentConfig, codec: DatasetCodec,
                     out_dir: str | Path) -> dict:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     tokenizer = build_tokenizer(config, codec)
     rng = np.random.default_rng(derived_seed(config.seed, "warmup"))
     lm = ToyLm(tokenizer, config.lm, rng)
@@ -507,8 +504,6 @@ def warmup_lm_stage(config: ExperimentConfig, codec: DatasetCodec,
 def train_stage(config: ExperimentConfig, train: Dataset, val: Dataset,
                 codec: DatasetCodec, out_dir: str | Path) -> dict:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     lm_tensors, lm_sidecar = load_checkpoint(out / "lm_base")
     if lm_sidecar.get("config_hash") != config.config_hash():
         raise ConfigError("language model checkpoint does not match this config")
@@ -555,7 +550,7 @@ def train_stage(config: ExperimentConfig, train: Dataset, val: Dataset,
             "fine-tuning modified a frozen language model tensor")
 
     # answer-format validity on the validation split (trained tasks)
-    parse_stats = _parseable_rate(model, val, trained_tasks, codec, config)
+    parse_rate = _parseable_rate(model, val, trained_tasks, codec, config)
 
     final_loss = curve[-1][2] if curve else None
     codec.save(out / "codec.json")
@@ -568,9 +563,8 @@ def train_stage(config: ExperimentConfig, train: Dataset, val: Dataset,
         frozen=base_frozen_names,
         lora_report={k: v for k, v in lora_report.items()
                      if k != "adapted_matrices"},
-        final_loss=final_loss, val_parseable_rate=parse_stats["rate"])
-    return {"final_loss": final_loss,
-            "val_parseable_rate": parse_stats["rate"],
+        final_loss=final_loss, val_parseable_rate=parse_rate)
+    return {"final_loss": final_loss, "val_parseable_rate": parse_rate,
             "frozen_hash_before": base_hash_before,
             "frozen_hash_after": base_hash_after,
             "frozen_base_unchanged": base_hash_after == base_hash_before,
@@ -588,11 +582,11 @@ def _hash_named(module: nn.Module, names: list[str]) -> str:
 
 
 def _parseable_rate(model: PipelineModel, val: Dataset, tasks: list[QATask],
-                    codec: DatasetCodec, config: ExperimentConfig) -> dict:
+                    codec: DatasetCodec, config: ExperimentConfig) -> float:
     pairs, _, texts, _ = run_inference(model, val, tasks, codec, config)
     n_ok = sum(not isinstance(parsed, Unparseable)
                for parsed in _parse_answers(pairs, texts, tasks, codec))
-    return {"rate": n_ok / len(pairs) if pairs else 0.0, "n": len(pairs)}
+    return n_ok / len(pairs) if pairs else 0.0
 
 
 def _parse_answers(pairs: list[QAPair], texts: list[str], tasks: list[QATask],

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -93,101 +92,80 @@ class QAPair:
 # task registry
 
 
-def _task(family: str, **kw) -> Callable[..., QATask]:
-    def build(task_id: str, feature: str | None = None,
-              target: str | None = None, n_options: int = 4,
-              template: str | None = None,
-              instruction: str | None = None) -> QATask:
-        return QATask(
-            task_id=task_id, family=family, feature=feature, target=target,
-            n_options=n_options,
-            kind=kw["kind"], answer_mode=kw["answer_mode"],
-            truth_type=kw["truth_type"],
-            template=template if template is not None else kw["template"],
-            instruction=(instruction if instruction is not None
-                         else kw["instruction"]),
-            holdout_last=kw.get("holdout_last", False))
-    return build
-
-
-TASK_FAMILIES: dict[str, Callable[..., QATask]] = {
-    "last_value": _task(
-        "last_value", kind=EXTRACTIVE, answer_mode=OPEN, truth_type=T_CATEGORY,
+# family -> its QATask field values (see build_task for a spec's overrides)
+TASK_FAMILIES: dict[str, dict] = {
+    "last_value": dict(
+        kind=EXTRACTIVE, answer_mode=OPEN, truth_type=T_CATEGORY,
         template="What is the {feature} of the last event?",
         instruction="Answer with a single value name."),
-    "first_value": _task(
-        "first_value", kind=EXTRACTIVE, answer_mode=OPEN, truth_type=T_CATEGORY,
+    "first_value": dict(
+        kind=EXTRACTIVE, answer_mode=OPEN, truth_type=T_CATEGORY,
         template="What is the {feature} of the first event?",
         instruction="Answer with a single value name."),
-    "most_frequent": _task(
-        "most_frequent", kind=EXTRACTIVE, answer_mode=OPEN,
-        truth_type=T_CATEGORY,
+    "most_frequent": dict(
+        kind=EXTRACTIVE, answer_mode=OPEN, truth_type=T_CATEGORY,
         template="What is the most frequent value of {feature} in the entire dataset?",
         instruction="Answer with a single value name."),
-    "least_frequent": _task(
-        "least_frequent", kind=EXTRACTIVE, answer_mode=OPEN,
-        truth_type=T_CATEGORY,
+    "least_frequent": dict(
+        kind=EXTRACTIVE, answer_mode=OPEN, truth_type=T_CATEGORY,
         template="What is the least frequent value of {feature}?",
         instruction="Answer with a single value name."),
-    "most_frequent_mc": _task(
-        "most_frequent_mc", kind=EXTRACTIVE, answer_mode=MULTI_CHOICE,
-        truth_type=T_CATEGORY,
+    "most_frequent_mc": dict(
+        kind=EXTRACTIVE, answer_mode=MULTI_CHOICE, truth_type=T_CATEGORY,
         template="What is the most frequent value of {feature}? Options: {options}.",
         instruction=""),
-    "is_most_frequent": _task(
-        "is_most_frequent", kind=EXTRACTIVE, answer_mode=BINARY,
-        truth_type=T_BINARY,
+    "is_most_frequent": dict(
+        kind=EXTRACTIVE, answer_mode=BINARY, truth_type=T_BINARY,
         template="Is {value} the most frequent value of {feature}?",
         instruction="Answer Yes or No."),
-    "occurrence": _task(
-        "occurrence", kind=EXTRACTIVE, answer_mode=BINARY, truth_type=T_BINARY,
+    "occurrence": dict(
+        kind=EXTRACTIVE, answer_mode=BINARY, truth_type=T_BINARY,
         template="Does the value {value} occur for {feature}?",
         instruction="Answer Yes or No."),
-    "count_events": _task(
-        "count_events", kind=EXTRACTIVE, answer_mode=OPEN, truth_type=T_COUNT,
+    "count_events": dict(
+        kind=EXTRACTIVE, answer_mode=OPEN, truth_type=T_COUNT,
         template="How many events are in the sequence?",
         instruction="Answer with a number."),
-    "min_value": _task(
-        "min_value", kind=EXTRACTIVE, answer_mode=OPEN, truth_type=T_NUMBER,
+    "min_value": dict(
+        kind=EXTRACTIVE, answer_mode=OPEN, truth_type=T_NUMBER,
         template="What is the minimum value of {feature}?",
         instruction="Answer with a number."),
-    "max_value": _task(
-        "max_value", kind=EXTRACTIVE, answer_mode=OPEN, truth_type=T_NUMBER,
+    "max_value": dict(
+        kind=EXTRACTIVE, answer_mode=OPEN, truth_type=T_NUMBER,
         template="What is the maximum value of {feature}?",
         instruction="Answer with a number."),
-    "mean_value": _task(
-        "mean_value", kind=EXTRACTIVE, answer_mode=OPEN, truth_type=T_NUMBER,
+    "mean_value": dict(
+        kind=EXTRACTIVE, answer_mode=OPEN, truth_type=T_NUMBER,
         template="What is the mean value of {feature}?",
         instruction="Answer with a number."),
-    "next_value": _task(
-        "next_value", kind=PREDICTIVE, answer_mode=OPEN, truth_type=T_CATEGORY,
+    "next_value": dict(
+        kind=PREDICTIVE, answer_mode=OPEN, truth_type=T_CATEGORY,
         template="What is the {feature} of the next event?",
         instruction="Answer with a single value name.", holdout_last=True),
-    "next_value_number": _task(
-        "next_value_number", kind=PREDICTIVE, answer_mode=OPEN,
-        truth_type=T_NUMBER,
+    "next_value_number": dict(
+        kind=PREDICTIVE, answer_mode=OPEN, truth_type=T_NUMBER,
         template="What is the {feature} of the next event?",
         instruction="Answer with a number.", holdout_last=True),
-    "sequence_label": _task(
-        "sequence_label", kind=PREDICTIVE, answer_mode=BINARY,
-        truth_type=T_BINARY,
+    "sequence_label": dict(
+        kind=PREDICTIVE, answer_mode=BINARY, truth_type=T_BINARY,
         template="Is the outcome {target} positive for this client?",
         instruction="Answer Yes or No."),
 }
+_SPEC_FIELDS = ("feature", "target", "n_options", "template", "instruction")
 
 
 def build_task(spec: dict) -> QATask:
-    """Instantiate a task from its JSON description."""
+    """Instantiate a task from its JSON description: the family's field
+    values, with the spec's non-null ``_SPEC_FIELDS`` laid over them."""
     if "family" not in spec or "id" not in spec:
         raise ConfigError(f"task spec needs 'id' and 'family': {spec}")
     family = spec["family"]
     if family not in TASK_FAMILIES:
         raise ConfigError(
             f"unknown task family {family!r}; known: {sorted(TASK_FAMILIES)}")
-    return TASK_FAMILIES[family](
-        task_id=spec["id"], feature=spec.get("feature"),
-        target=spec.get("target"), n_options=spec.get("n_options", 4),
-        template=spec.get("template"), instruction=spec.get("instruction"))
+    overrides = {k: spec[k] for k in _SPEC_FIELDS if spec.get(k) is not None}
+    return QATask(task_id=spec["id"], family=family,
+                  **{**TASK_FAMILIES[family], **overrides})
 
 
 def build_tasks(specs: list[dict]) -> list[QATask]:
@@ -211,6 +189,15 @@ def derived_seed(seed: int, *parts: str) -> int:
 def _observed(seq: EventSequence, codec: DatasetCodec, feature: str) -> list:
     spec = codec.schema.feature(feature)
     return [v for v in seq.feature_column(spec) if v is not None]
+
+
+def _observed_values(task: QATask, seq: EventSequence,
+                     codec: DatasetCodec) -> list:
+    """The task feature's observed values; none at all is a DataError."""
+    values = _observed(seq, codec, task.feature)
+    if not values:
+        raise DataError(f"{task.task_id}: no observed values")
+    return values
 
 
 def _mode(values: list, pick=max):
@@ -243,20 +230,11 @@ def ground_truth(task: QATask, seq: EventSequence, codec: DatasetCodec,
     slots = slots or {}
     fam = task.family
     if fam in ("last_value", "first_value"):
-        values = _observed(seq, codec, task.feature)
-        if not values:
-            raise DataError(f"{task.task_id}: no observed values")
+        values = _observed_values(task, seq, codec)
         return values[-1] if fam == "last_value" else values[0]
-    if fam in ("most_frequent", "most_frequent_mc"):
-        values = _observed(seq, codec, task.feature)
-        if not values:
-            raise DataError(f"{task.task_id}: no observed values")
-        return _mode(values)
-    if fam == "least_frequent":
-        values = _observed(seq, codec, task.feature)
-        if not values:
-            raise DataError(f"{task.task_id}: no observed values")
-        return _mode(values, min)
+    if fam in ("most_frequent", "most_frequent_mc", "least_frequent"):
+        return _mode(_observed_values(task, seq, codec),
+                     min if fam == "least_frequent" else max)
     if fam == "is_most_frequent":
         values = _observed(seq, codec, task.feature)
         return int(_mode(values) == slots["value"])
@@ -266,9 +244,7 @@ def ground_truth(task: QATask, seq: EventSequence, codec: DatasetCodec,
     if fam == "count_events":
         return len(seq)
     if fam in ("min_value", "max_value", "mean_value"):
-        values = [float(v) for v in _observed(seq, codec, task.feature)]
-        if not values:
-            raise DataError(f"{task.task_id}: no observed values")
+        values = [float(v) for v in _observed_values(task, seq, codec)]
         if fam == "min_value":
             raw = min(values)
         elif fam == "max_value":
@@ -309,9 +285,8 @@ def _feature_vocab(codec: DatasetCodec, feature: str) -> list:
 
 
 def render_question(task: QATask, seq: EventSequence, seed: int,
-                    codec: DatasetCodec,
-                    prefix: str = DEFAULT_PREFIX) -> tuple[str, str, dict]:
-    """Render (prefix, body, slots); deterministic under the seed.
+                    codec: DatasetCodec) -> tuple[str, dict]:
+    """Render (body, slots); deterministic under the seed.
 
     Multi-choice options are a seeded shuffle of a pool that always contains
     the ground truth exactly once; binary probe values are seeded draws that
@@ -350,7 +325,7 @@ def render_question(task: QATask, seq: EventSequence, seed: int,
         slots["options"] = options
         fields["options"] = "; ".join(str(o) for o in options)
 
-    return prefix, format_body(task, **fields), slots
+    return format_body(task, **fields), slots
 
 
 def format_body(task: QATask, **slots: str) -> str:
@@ -430,11 +405,10 @@ def parse_answer(text: str, task: QATask, vocabulary: list | None = None):
 
 def build_pair(task: QATask, seq: EventSequence, codec: DatasetCodec,
                seed: int, prefix: str = DEFAULT_PREFIX) -> QAPair:
-    prefix_text, body, slots = render_question(task, seq, seed, codec,
-                                               prefix=prefix)
+    body, slots = render_question(task, seq, seed, codec)
     truth = ground_truth(task, seq, codec, slots)
     return QAPair(task_id=task.task_id, client_id=seq.client_id,
-                  prefix=prefix_text, body=body, truth=truth,
+                  prefix=prefix, body=body, truth=truth,
                   answer=serialize_answer(truth, task))
 
 

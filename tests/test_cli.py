@@ -289,7 +289,10 @@ def test_damaged_optimizer_moment_on_resume(trained_run, config_path,
     (lambda raw: raw[:len(raw) // 2], "codec.json"),
     (None, "codec.json"),
     (lambda raw: b'{"version": 1}', "'schema'"),
-], ids=["truncated", "deleted", "no_schema"])
+    (lambda raw: json.dumps({k: v for k, v in json.loads(raw).items()
+                             if k != "integer_vocab_cap"}).encode(),
+     "'integer_vocab_cap'"),
+], ids=["truncated", "deleted", "no_schema", "no_vocab_cap"])
 def test_damaged_codec_exits_3(trained_run, tmp_path, capsys, damage, named):
     out = tmp_path / "run"
     shutil.copytree(trained_run, out)
@@ -393,6 +396,47 @@ def test_empty_checkpoint_dir_exits_3(tmp_path, capsys, argv):
     assert cli_main(argv + ["--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and "pipeline." in err
+
+
+@pytest.mark.parametrize("command,missing", [
+    ("eval", "pipeline.json"), ("ask", "pipeline.bin"),
+    ("fit-codec", "schema.json")])
+def test_missing_input_is_named_once(config_path, tmp_path, capsys, command,
+                                     missing):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    argv = {"eval": ["eval", "--out", str(empty)],
+            "ask": ["ask", "--out", str(empty), "--sequence", "unused.jsonl",
+                    "--question", "Any?"],
+            "fit-codec": ["fit-codec", "--config", str(config_path),
+                          "--data", str(empty), "--out", str(tmp_path / "o")],
+            }[command]
+    assert cli_main(argv) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(empty / missing) in err
+    assert err.count(str(empty)) == 1
+
+
+def test_report_in_a_missing_directory_is_written(trained_run, tmp_path):
+    report = tmp_path / "new" / "dir" / "report.json"
+    assert cli_main(["eval", "--out", str(trained_run),
+                     "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["tasks"]
+
+
+@pytest.mark.parametrize("command", ["generate-data", "eval"])
+def test_output_under_a_regular_file_exits_3(trained_run, config_path,
+                                             tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = (["generate-data", "--config", str(config_path),
+             "--out", str(blocker / "sub")] if command == "generate-data"
+            else ["eval", "--out", str(trained_run),
+                  "--report", str(blocker / "sub" / "r.json")])
+    assert cli_main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"data error: cannot write {blocker / 'sub'}" in err
+    assert "Traceback" not in err
 
 
 def test_eval_loads_the_checkpoint_once(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from eventqa import autodiff as ad
 from eventqa.autodiff import Tensor, grad_check
-from eventqa.connector import Connector, ConnectorConfig, sensitivity_probe
+from eventqa.connector import Connector, ConnectorConfig
 from eventqa.errors import ConfigError
 
 
@@ -14,6 +14,26 @@ def tiny_connector(seed=0, **kw):
                 max_events=512)
     base.update(kw)
     return Connector(ConnectorConfig(**base), np.random.default_rng(seed))
+
+
+def sensitivity_probe(connector: Connector, enc_out: np.ndarray) -> np.ndarray:
+    """Influence of each event row on the connector output.
+
+    Score i is the Frobenius norm of the output change when row i of the
+    encoder output is zeroed.
+    """
+    enc_out = np.asarray(enc_out, dtype=np.float64)
+    if enc_out.ndim != 2:
+        raise ConfigError(f"probe expects (events, width), got {enc_out.shape}")
+    with ad.no_grad():
+        base = connector.connect(Tensor(enc_out)).data
+        scores = np.zeros(enc_out.shape[0])
+        for i in range(enc_out.shape[0]):
+            masked = enc_out.copy()
+            masked[i, :] = 0.0
+            out = connector.connect(Tensor(masked)).data
+            scores[i] = np.sqrt(((out - base) ** 2).sum())
+    return scores
 
 
 class TestOutputContract:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -628,6 +629,23 @@ def test_infinite_gradient_on_the_last_step_diverges(clip_norm):
                      lambda chosen: chosen)
     for p in params.values():
         np.testing.assert_array_equal(p.data, np.ones(3))
+
+
+def test_overflowing_gradient_square_diverges_without_a_warning():
+    """A finite gradient of 1e200 squares to inf: run_training raises
+    DivergenceError naming it, and numpy issues no overflow warning."""
+    params = {"big": Tensor(np.ones(3), requires_grad=True)}
+    config = tiny_experiment(
+        train=StageSchedule(epochs=1, batch_size=1, warmup_steps=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError,
+                           match="first non-finite gradient: big"):
+            run_training(
+                lambda _: ad.tsum(ad.mul(params["big"],
+                                         Tensor(np.full(3, 1e200)))),
+                AdamW(params, config.optimizer), config, "train", [0], 1,
+                lambda chosen: chosen)
 
 
 class TestConfigValidation:

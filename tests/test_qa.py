@@ -1,5 +1,6 @@
 """QA engine: rendering, ground truth, parsing, corpus building."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from eventqa.codec import DatasetCodec
 from eventqa.data import Dataset, EventSequence, FeatureSpec, Schema
 from eventqa.errors import ConfigError, DataError
-from eventqa.qa import (DEFAULT_PREFIX, QATask, Unparseable, build_corpus,
-                        build_pair, build_task, build_tasks,
+from eventqa.qa import (DEFAULT_PREFIX, TASK_FAMILIES, QATask, Unparseable,
+                        build_corpus, build_pair, build_task, build_tasks,
                         corpus_word_inventory, ground_truth, parse_answer,
                         render_question, serialize_answer)
 from tests.test_codec import encode_sequence
@@ -52,7 +53,7 @@ class TestRendering:
         ds, codec = fitted()
         task = build_task({"id": "mode", "family": "most_frequent",
                            "feature": "product"})
-        _, body, _ = render_question(task, ds.sequences[0], 0, codec)
+        body, _ = render_question(task, ds.sequences[0], 0, codec)
         assert body.startswith(
             "What is the most frequent value of product in the entire dataset?")
 
@@ -66,7 +67,7 @@ class TestRendering:
         seq = seq_of(["drinking water", "drinking water", "bread"])
         found = False
         for seed in range(20):
-            _, body, slots = render_question(task, seq, seed, codec)
+            body, slots = render_question(task, seq, seed, codec)
             assert body.startswith("Is ")
             assert body.endswith("the most frequently purchased product?")
             if slots["value"] == "drinking water":
@@ -80,7 +81,7 @@ class TestRendering:
         task = build_task({"id": "mode_mc", "family": "most_frequent_mc",
                            "feature": "product", "n_options": 4})
         seq = seq_of(["bread", "bread", "grapes"])
-        _, body, slots = render_question(task, seq, 3, codec)
+        body, slots = render_question(task, seq, 3, codec)
         options = slots["options"]
         assert body.endswith(f"Options: {'; '.join(options)}.")
         assert sorted(options) == sorted(PRODUCTS)
@@ -92,7 +93,7 @@ class TestRendering:
                            "feature": "product", "n_options": 2})
         for seed in range(25):
             for seq in ds.sequences:
-                _, _, slots = render_question(task, seq, seed, codec)
+                _, slots = render_question(task, seq, seed, codec)
                 truth = ground_truth(task, seq, codec, slots)
                 assert slots["options"].count(truth) == 1
 
@@ -109,7 +110,7 @@ class TestRendering:
         ds, codec = fitted()
         task = build_task({"id": "last", "family": "last_value",
                            "feature": "product"})
-        _, body, _ = render_question(task, ds.sequences[0], 0, codec)
+        body, _ = render_question(task, ds.sequences[0], 0, codec)
         assert body.endswith("Answer with a single value name.")
 
     def test_option_pool_missing_truth_rejected(self):
@@ -124,11 +125,12 @@ class TestRendering:
         ds, codec = fitted()
         task = build_task({"id": "last", "family": "last_value",
                            "feature": "product"})
-        prefix, _, _ = render_question(task, ds.sequences[0], 0, codec)
-        assert prefix == DEFAULT_PREFIX
-        prefix2, _, _ = render_question(task, ds.sequences[0], 0, codec,
-                                        prefix="Transactions so far,")
-        assert prefix2 == "Transactions so far,"
+        pair = build_pair(task, ds.sequences[0], codec, 0)
+        assert pair.prefix == DEFAULT_PREFIX
+        other = build_pair(task, ds.sequences[0], codec, 0,
+                           prefix="Transactions so far,")
+        assert other.prefix == "Transactions so far,"
+        assert other.body == pair.body
 
 
 class TestGroundTruth:
@@ -415,3 +417,48 @@ class TestTaskRegistry:
         with pytest.raises(ConfigError):
             build_task({"id": "mc", "family": "most_frequent_mc",
                         "feature": "product", "n_options": 1})
+
+
+NAME, NUMBER, YES_NO = ("Answer with a single value name.",
+                        "Answer with a number.", "Answer Yes or No.")
+# family -> (kind, answer_mode, truth_type, holdout_last, instruction)
+FAMILY_FIELDS = {
+    "last_value": ("extractive", "open", "category", False, NAME),
+    "first_value": ("extractive", "open", "category", False, NAME),
+    "most_frequent": ("extractive", "open", "category", False, NAME),
+    "least_frequent": ("extractive", "open", "category", False, NAME),
+    "most_frequent_mc": ("extractive", "multi_choice", "category", False, ""),
+    "is_most_frequent": ("extractive", "binary", "binary", False, YES_NO),
+    "occurrence": ("extractive", "binary", "binary", False, YES_NO),
+    "count_events": ("extractive", "open", "count", False, NUMBER),
+    "min_value": ("extractive", "open", "number", False, NUMBER),
+    "max_value": ("extractive", "open", "number", False, NUMBER),
+    "mean_value": ("extractive", "open", "number", False, NUMBER),
+    "next_value": ("predictive", "open", "category", True, NAME),
+    "next_value_number": ("predictive", "open", "number", True, NUMBER),
+    "sequence_label": ("predictive", "binary", "binary", False, YES_NO),
+}
+SPEC_OVERRIDES = {"feature": "product", "target": "churn", "n_options": 3,
+                  "template": "Which {feature}?", "instruction": "Be brief."}
+
+
+def test_every_family_is_listed():
+    assert sorted(TASK_FAMILIES) == sorted(FAMILY_FIELDS)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_FIELDS))
+def test_build_task_lays_spec_fields_over_the_family(family):
+    """The family's field values, QATask's defaults for the rest (4
+    options), each spec field overriding one value, and an explicit null
+    keeping the family's value."""
+    task = build_task({"id": "t", "family": family})
+    assert (task.task_id, task.family) == ("t", family)
+    assert (task.kind, task.answer_mode, task.truth_type, task.holdout_last,
+            task.instruction) == FAMILY_FIELDS[family]
+    assert task.template == TASK_FAMILIES[family]["template"]
+    assert (task.feature, task.target, task.n_options) == (None, None, 4)
+    for name, value in SPEC_OVERRIDES.items():
+        changed = build_task({"id": "t", "family": family, name: value})
+        assert getattr(changed, name) == value
+        assert changed == dataclasses.replace(task, **{name: value})
+        assert build_task({"id": "t", "family": family, name: None}) == task
